@@ -3,6 +3,7 @@ package grappolo_test
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -224,5 +225,27 @@ func TestExamplesUseOnlyPublicAPI(t *testing.T) {
 	}
 	for _, f := range findings {
 		t.Errorf("%s", f)
+	}
+}
+
+// TestLoadGraphRejectsBadWeights pins the public loader's weight contract:
+// an edge-list or METIS file with a weight that is not a positive finite
+// number fails with an error matching ErrBadEdgeWeight, the sentinel the
+// streaming tier uses for the same inputs, instead of loading a graph that
+// detection can never converge on.
+func TestLoadGraphRejectsBadWeights(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"nan.txt":   "0 1 nan\n1 2 1\n",
+		"inf.graph": "2 1 1\n2 inf\n1 inf\n",
+	}
+	for name, body := range files {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := grappolo.LoadGraph(path, 1); !errors.Is(err, grappolo.ErrBadEdgeWeight) {
+			t.Errorf("%s: err = %v, want ErrBadEdgeWeight", name, err)
+		}
 	}
 }

@@ -128,6 +128,12 @@ func (b *Batcher) Stats() PoolStats {
 	return s
 }
 
+// A Batcher's engine counters include its coalescing, and its degraded
+// set coalesces too.
+func (b *Batcher) enginePool() *Pool          { return b.pool }
+func (b *Batcher) engineStats() PoolStats     { return b.Stats() }
+func (b *Batcher) degradedTier(dp *Pool) tier { return NewBatcher(dp) }
+
 // Detect runs detection on g, coalescing with any identical in-flight
 // request, and returns a fresh Result independent of the Batcher. See
 // Detector.Detect for the cancellation contract.

@@ -291,7 +291,9 @@ func BenchmarkAblation_BalancedColoring(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			o := core.BaselineVFColor(runtime.GOMAXPROCS(0))
 			o.ColoringVertexCutoff = 512
-			o.BalancedColoring = mode == "balanced"
+			if mode == "balanced" {
+				o.ColorBalance = core.BalanceVertices
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res := core.Run(g, o)

@@ -13,12 +13,12 @@ import (
 // Cache serves repeated detections across TIME the way the Batcher serves
 // them across concurrent callers: a TTL + LRU result cache keyed by the
 // graph's content identity and the backend's exact engine options, composed
-// as a Detecter in front of a Pool, Batcher or Sharded backend (and behind
-// a Guard). Back-to-back identical uploads — dashboard refreshes, retries,
-// many tenants asking about the same public dataset — are served from the
-// cache with ZERO engine runs; a warm hit into a recycled Result performs
-// zero allocations, the same gate discipline as the rest of the serving
-// stack.
+// as a Detecter in front of any engine-backed tier — a Pool, Batcher,
+// Sharded or another Cache — and behind a Guard. Back-to-back identical
+// uploads — dashboard refreshes, retries, many tenants asking about the
+// same public dataset — are served from the cache with ZERO engine runs; a
+// warm hit into a recycled Result performs zero allocations, the same gate
+// discipline as the rest of the serving stack.
 //
 // Correctness: lookups are keyed by the cheap sampled graph.Fingerprint,
 // but no result is ever served (or displaced) on that evidence alone —
@@ -47,8 +47,7 @@ import (
 // maintainer) and evicts least-recently-used entries once the estimated
 // resident bytes exceed CacheBytes. A Cache is safe for concurrent use.
 type Cache struct {
-	backend Detecter
-	pool    *Pool
+	backend tier
 	store   *rescache.Store
 	opts    core.Options
 }
@@ -138,22 +137,16 @@ func DeltaRefreshFraction(f float64) CacheOption {
 	}
 }
 
-// NewCache wraps backend — a *Pool, *Batcher or *Sharded — in a result
-// cache. All traffic for the backend should route through the Cache (a
-// detection that bypasses it is simply never cached). Configuration errors
-// are returned, never coerced.
+// NewCache wraps backend — a *Pool, *Batcher, *Sharded or *Cache — in a
+// result cache. All traffic for the backend should route through the Cache
+// (a detection that bypasses it is simply never cached). Configuration
+// errors are returned, never coerced.
 func NewCache(backend Detecter, copts ...CacheOption) (*Cache, error) {
-	var pool *Pool
-	switch b := backend.(type) {
-	case *Pool:
-		pool = b
-	case *Batcher:
-		pool = b.Pool()
-	case *Sharded:
-		pool = b.Pool()
-	default:
-		return nil, fmt.Errorf("grappolo: NewCache needs a *Pool, *Batcher or *Sharded backend, got %T", backend)
+	b, ok := backend.(tier)
+	if !ok {
+		return nil, fmt.Errorf("grappolo: NewCache needs a *Pool, *Batcher, *Sharded or *Cache backend, got %T", backend)
 	}
+	pool := b.enginePool()
 	c := cacheConfig{maxBytes: 256 << 20, refresh: 0.25}
 	for _, o := range copts {
 		if o == nil {
@@ -181,12 +174,19 @@ func NewCache(backend Detecter, copts ...CacheOption) (*Cache, error) {
 			Full:            pool.opts.Defaults(),
 		},
 	})
-	return &Cache{backend: backend, pool: pool, store: store, opts: pool.opts}, nil
+	return &Cache{backend: b, store: store, opts: pool.opts}, nil
 }
 
 // Pool returns the underlying engine pool (capacity, options) the cached
 // backend serves from.
-func (c *Cache) Pool() *Pool { return c.pool }
+func (c *Cache) Pool() *Pool { return c.backend.enginePool() }
+
+// A Cache is transparent to the engine side: its engine counters are its
+// backend's, and the Guard's degraded set (which bypasses the cache)
+// mirrors the backend's shape.
+func (c *Cache) enginePool() *Pool          { return c.backend.enginePool() }
+func (c *Cache) engineStats() PoolStats     { return c.backend.engineStats() }
+func (c *Cache) degradedTier(dp *Pool) tier { return c.backend.degradedTier(dp) }
 
 // Stats returns the cache's cumulative counters and residency snapshot.
 func (c *Cache) Stats() CacheStats {

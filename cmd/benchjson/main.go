@@ -7,10 +7,13 @@
 //
 // Usage:
 //
-//	benchjson -out BENCH_8.json                  # default suite, medium scale
+//	benchjson > report.json                      # default suite, medium scale
 //	benchjson -benchtime 1x -out /tmp/smoke.json # CI smoke
 //	benchjson -dir /tmp/baseline-tree -out /tmp/before.json
-//	benchjson -baseline /tmp/before.json -out BENCH_8.json
+//	benchjson -baseline /tmp/before.json -out BENCH_N.json
+//
+// The report goes to standard output unless -out names a file; the raw
+// `go test` output goes to standard error.
 package main
 
 import (
@@ -83,7 +86,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	var (
-		out       = fs.String("out", "BENCH_8.json", "output JSON path")
+		out       = fs.String("out", "", "output JSON path (default: standard output)")
 		benchtime = fs.String("benchtime", "", "override every suite's -benchtime (e.g. 1x for a CI smoke)")
 		count     = fs.Int("count", 1, "passed to go test -count")
 		scale     = fs.String("scale", "medium", "GRAPPOLO_BENCH_SCALE for the benchmark processes (small|medium|large)")
@@ -157,7 +160,12 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(*out, append(enc, '\n'), 0o644)
+	enc = append(enc, '\n')
+	if *out == "" {
+		_, err = os.Stdout.Write(enc)
+		return err
+	}
+	return os.WriteFile(*out, enc, 0o644)
 }
 
 // parseBench extracts the benchmark result lines from go test output. A line

@@ -25,8 +25,7 @@
 //
 // New validates the whole configuration up front: invalid values and
 // invalid combinations (negative worker counts, CPM without a gamma, CPM
-// with vertex following, Async with coloring, the deprecated rebalancing
-// switch combined with the current one) are errors, never silent
+// with vertex following, Async with coloring) are errors, never silent
 // corrections. No options at all is the paper's baseline.
 //
 // # Lifecycle: New → Detect → Pool
@@ -132,7 +131,9 @@
 // Result.Degraded so callers can label cached entries. When the queue
 // drains, full-quality serving resumes by itself. Degradation is decided
 // at admission time from queue depth, so a burst degrades only the
-// requests that actually queued behind it.
+// requests that actually queued behind it. Degraded requests bypass any
+// Cache; when a Batcher sits beneath the Guard (directly or under a Cache),
+// degraded duplicates coalesce too.
 //
 // Fault isolation: an engine run that panics is quarantined twice over —
 // the Pool discards the panicked engine instead of recycling it
@@ -249,7 +250,7 @@
 // par.SparseAccum: a flat value array indexed directly by community id, a
 // dense list of touched keys in first-touch order, and a generation stamp
 // per slot so Reset is O(1) and no clearing ever touches untouched slots.
-// Accumulators are pooled per worker (par.ForChunkWorker/ForChunkPrefix
+// Accumulators are pooled per worker (par.ForChunkWorkerCtx/ForChunkPrefixCtx
 // expose the worker index) and reused across sweeps, making the
 // steady-state decide loop allocation-free; sweep chunks are balanced by
 // arc count over the CSR offsets rather than vertex count, so hub-heavy
@@ -268,8 +269,10 @@
 // Everything is sized by high-water mark and recycled across phases and
 // across Run calls, so the second run on a same-shaped graph performs zero
 // scratch allocations; Engine.RunInto additionally recycles the Result,
-// making warm re-runs allocate nothing at all (pinned by
-// TestEngineRunSteadyStateZeroAllocs and BenchmarkEngineReuse).
+// so a warm re-run at Workers: 1 allocates nothing at all (pinned by
+// TestEngineRunSteadyStateZeroAllocs). With more workers each parallel
+// loop still spawns its goroutines, which allocates; BenchmarkEngineReuse
+// reports those allocations at the machine's CPU count.
 //
 // Ownership rules: hold ONE Engine per sequence of same-configuration runs
 // (dynamic overlays re-detecting per flush, harness repeat sweeps, services

@@ -12,8 +12,8 @@ import (
 )
 
 // Detecter is the serving interface every detection layer implements —
-// Detector, Pool, Batcher and Guard — so the layers compose freely and a
-// caller can hold whichever tier of the stack it was handed.
+// Detector, Pool, Batcher, Sharded, Cache and Guard — so the layers compose
+// freely and a caller can hold whichever tier of the stack it was handed.
 type Detecter interface {
 	// Detect runs detection on g and returns a fresh Result.
 	Detect(ctx context.Context, g *Graph) (*Result, error)
@@ -22,9 +22,28 @@ type Detecter interface {
 	DetectInto(ctx context.Context, g *Graph, res *Result) (*Result, error)
 }
 
-// Guard wraps a Pool or Batcher with production overload semantics — the
-// resilience tier of the serving stack (Detector → Pool → Batcher →
-// Guard). Four behaviors, each off until configured:
+// tier is the composition seam of the serving stack: every engine-backed
+// tier (Pool, Batcher, Sharded, Cache) implements it once, so the tiers
+// that wrap a backend (Cache, Guard) reach its engine pool and counters
+// without knowing which tiers exist.
+type tier interface {
+	Detecter
+	// enginePool returns the pool whose engines serve the tier's runs (its
+	// capacity and validated options).
+	enginePool() *Pool
+	// engineStats returns the engine-side serving counters of the tier and
+	// everything beneath it.
+	engineStats() PoolStats
+	// degradedTier wraps p, a pool running the Guard's degraded profile, in
+	// the tier's engine-side shape: a coalescing tier coalesces its degraded
+	// duplicate bursts too — the most duplicate-shaped traffic there is.
+	degradedTier(p *Pool) tier
+}
+
+// Guard wraps a Pool, Batcher, Sharded or Cache with production overload
+// semantics — the resilience tier of the serving stack (Detector → Pool →
+// Batcher → Sharded → Cache → Guard). Four behaviors, each off until
+// configured:
 //
 //   - Bounded admission (MaxQueueDepth, MaxQueueWait): a request that
 //     would queue behind more than the configured depth, or that has
@@ -54,13 +73,12 @@ type Detecter interface {
 //     server nor corrupt a recycled engine.
 //
 // A Guard owns its backend's admission: route ALL traffic for the wrapped
-// Pool/Batcher through the Guard, or the queue-state signals (shedding and
+// tier through the Guard, or the queue-state signals (shedding and
 // degradation thresholds) will under-count. A Guard is safe for concurrent
 // use by multiple goroutines.
 type Guard struct {
-	primary  Detecter
-	degraded Detecter // non-nil iff degradation is configured
-	pool     *Pool    // the backend's underlying pool (capacity, options)
+	primary  tier
+	degraded tier // non-nil iff degradation is configured
 	admit    *par.FairSem
 
 	maxQueue  int           // >= 0 bounds the admission queue; -1 unbounded
@@ -206,19 +224,11 @@ func MaxInFlight(n int) GuardOption {
 // DegradeAtDepth, an invalid degraded option combination) are returned,
 // never coerced.
 func NewGuard(backend Detecter, gopts ...GuardOption) (*Guard, error) {
-	var pool *Pool
-	switch b := backend.(type) {
-	case *Pool:
-		pool = b
-	case *Batcher:
-		pool = b.Pool()
-	case *Sharded:
-		pool = b.Pool()
-	case *Cache:
-		pool = b.Pool()
-	default:
+	primary, ok := backend.(tier)
+	if !ok {
 		return nil, fmt.Errorf("grappolo: NewGuard needs a *Pool, *Batcher, *Sharded or *Cache backend, got %T", backend)
 	}
+	pool := primary.enginePool()
 	c := guardConfig{maxQueue: -1}
 	for _, o := range gopts {
 		if o == nil {
@@ -236,8 +246,7 @@ func NewGuard(backend Detecter, gopts ...GuardOption) (*Guard, error) {
 		inFlight = pool.Size()
 	}
 	gd := &Guard{
-		primary:   backend,
-		pool:      pool,
+		primary:   primary,
 		admit:     par.NewFairSem(inFlight),
 		maxQueue:  c.maxQueue,
 		maxWait:   c.maxWait,
@@ -255,15 +264,7 @@ func NewGuard(backend Detecter, gopts ...GuardOption) (*Guard, error) {
 		if err != nil {
 			return nil, fmt.Errorf("grappolo: invalid degraded profile: %w", err)
 		}
-		dp := newPoolCore(pool.Size(), opts)
-		if _, isBatcher := backend.(*Batcher); isBatcher {
-			// A batcher backend coalesces duplicates; degraded duplicate
-			// bursts — the most duplicate-shaped traffic there is — should
-			// coalesce too.
-			gd.degraded = NewBatcher(dp)
-		} else {
-			gd.degraded = dp
-		}
+		gd.degraded = primary.degradedTier(newPoolCore(pool.Size(), opts))
 	}
 	return gd, nil
 }
@@ -399,32 +400,11 @@ func (gd *Guard) Stats() GuardStats {
 		Degraded:  gd.degradedN.Load(),
 		Recovered: gd.recovered.Load(),
 	}
-	s.PoolStats = backendStats(gd.primary)
+	s.PoolStats = gd.primary.engineStats()
 	if gd.degraded != nil {
-		d := backendStats(gd.degraded)
-		s.Led += d.Led
-		s.Batched += d.Batched
-		s.Waited += d.Waited
-		s.Canceled += d.Canceled
-		s.Faulted += d.Faulted
+		s.PoolStats.add(gd.degraded.engineStats())
 	}
 	return s
-}
-
-// backendStats reads the PoolStats of either backend shape. A Cache is
-// transparent here — engine-side counters live on whatever it wraps.
-func backendStats(b Detecter) PoolStats {
-	switch b := b.(type) {
-	case *Pool:
-		return b.Stats()
-	case *Batcher:
-		return b.Stats()
-	case *Sharded:
-		return b.Stats()
-	case *Cache:
-		return backendStats(b.backend)
-	}
-	return PoolStats{}
 }
 
 // Queued returns the number of requests currently waiting for admission —

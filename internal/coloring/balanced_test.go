@@ -46,7 +46,7 @@ func TestRebalanceArcModeBeatsVertexModeOnArcRSD(t *testing.T) {
 }
 
 func TestRebalanceDistance2PreservesInvariant(t *testing.T) {
-	// Regression for the run.go Distance2Coloring + BalancedColoring combo:
+	// Regression for the run.go Distance2Coloring + vertex-rebalancing combo:
 	// the rebalancer must check distance-2 neighborhoods when the base
 	// coloring is distance-2, or moves silently break the invariant.
 	for _, seed := range []uint64{1, 7} {

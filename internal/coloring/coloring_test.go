@@ -181,7 +181,7 @@ func TestBalancedPreservesValidityAndImprovesRSD(t *testing.T) {
 	// rebalancing has room to work.
 	g := generate.MustGenerate(generate.UK2002, generate.Small, 0, 4)
 	base := Parallel(g, 4)
-	bal := Balanced(g, base, 4)
+	bal := Rebalance(g, base, RebalanceOptions{Workers: 4})
 	if err := Verify(g, bal.Colors); err != nil {
 		t.Fatalf("balanced coloring invalid: %v", err)
 	}
@@ -198,12 +198,12 @@ func TestBalancedPreservesValidityAndImprovesRSD(t *testing.T) {
 func TestBalancedNoopOnTrivial(t *testing.T) {
 	g := path(2)
 	base := Greedy(g)
-	bal := Balanced(g, base, 2)
+	bal := Rebalance(g, base, RebalanceOptions{Workers: 2})
 	if err := Verify(g, bal.Colors); err != nil {
 		t.Fatal(err)
 	}
 	empty := Greedy(graph.NewBuilder(0).Build(1))
-	if got := Balanced(graph.NewBuilder(0).Build(1), empty, 2); got != empty {
+	if got := Rebalance(graph.NewBuilder(0).Build(1), empty, RebalanceOptions{Workers: 2}); got != empty {
 		t.Fatal("empty graph should return base coloring unchanged")
 	}
 }

@@ -137,7 +137,7 @@ func TestAllVariantsProduceValidPartitions(t *testing.T) {
 func withVF(o Options) Options         { o.VertexFollowing = true; return o }
 func withChain(o Options) Options      { o.VFChainCompression = true; return o }
 func withColor(o Options) Options      { o.Coloring = ColorMultiPhase; return o }
-func withBalanced(o Options) Options   { o.BalancedColoring = true; return o }
+func withBalanced(o Options) Options   { o.ColorBalance = BalanceVertices; return o }
 func withArcBalance(o Options) Options { o.ColorBalance = BalanceArcs; return o }
 func withD2(o Options) Options         { o.Distance2Coloring = true; return o }
 func withJP(o Options) Options         { o.JonesPlassmann = true; return o }

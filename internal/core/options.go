@@ -125,12 +125,6 @@ type Options struct {
 	// distance, so it composes with Distance2Coloring.
 	ColorBalance ColorBalance
 
-	// BalancedColoring is the legacy switch for vertex-count rebalancing.
-	//
-	// Deprecated: set ColorBalance to BalanceVertices instead. When set and
-	// ColorBalance is BalanceOff, Defaults maps it to BalanceVertices.
-	BalancedColoring bool
-
 	// AutoBalanceArcRSD is the per-phase ArcRSD threshold above which
 	// BalanceAuto applies arc rebalancing (<= 0: 0.5). An evenly loaded
 	// coloring sits well below 0.5; the skewed colorings the paper blames
@@ -222,13 +216,6 @@ func (o Options) Defaults() Options {
 	if o.Resolution <= 0 {
 		o.Resolution = 1
 	}
-	if o.BalancedColoring && o.ColorBalance == BalanceOff {
-		// Canonicalize the deprecated switch: map it and clear it, so a
-		// Defaults output always passes Validate (callers commonly pass
-		// pre-defaulted options back into Run/NewEngine).
-		o.ColorBalance = BalanceVertices
-		o.BalancedColoring = false
-	}
 	if o.AutoBalanceArcRSD <= 0 {
 		o.AutoBalanceArcRSD = 0.5
 	}
@@ -240,9 +227,8 @@ func (o Options) Defaults() Options {
 // error means the caller asked for a combination the pipeline either cannot
 // honor (CPM without a gamma, VF under CPM) or would quietly reinterpret
 // (negative counts clamped to defaults, a field that only acts when a
-// sibling field is also set, both the deprecated and the current rebalancing
-// switch at once). NewEngine panics on these; the public grappolo package
-// surfaces them as errors from grappolo.New.
+// sibling field is also set). NewEngine panics on these; the public
+// grappolo package surfaces them as errors from grappolo.New.
 func (o Options) Validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("core: negative Workers %d (0 selects all CPUs)", o.Workers)
@@ -308,9 +294,6 @@ func (o Options) Validate() error {
 	}
 	if o.VFChainCompression && !o.VertexFollowing {
 		return fmt.Errorf("core: VFChainCompression requires VertexFollowing")
-	}
-	if o.BalancedColoring && o.ColorBalance != BalanceOff {
-		return fmt.Errorf("core: deprecated BalancedColoring combined with ColorBalance; set ColorBalance alone (BalancedColoring alone still maps to BalanceVertices)")
 	}
 	if o.Async && o.Coloring != ColorOff {
 		return fmt.Errorf("core: Async (live-state PLM emulation) is incompatible with coloring")

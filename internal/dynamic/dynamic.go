@@ -14,9 +14,7 @@ package dynamic
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 
 	"grappolo/internal/core"
 	"grappolo/internal/graph"
@@ -25,12 +23,13 @@ import (
 )
 
 // ErrBadWeight is returned by AddEdge for a weight that is not a positive
-// finite number. NaN, ±Inf, zero and negative weights are all rejected: a
-// single NaN admitted into the overlay poisons m2, the degrees and every
-// community degree, making Modularity() NaN forever after, and a silent
-// ≤0→1 coercion would hide caller bugs the same way the pre-validation
-// Options fields used to. Match with errors.Is.
-var ErrBadWeight = errors.New("dynamic: edge weight must be a positive finite number")
+// finite number; it is graph.ErrBadWeight, the loaders' sentinel. NaN, ±Inf,
+// zero and negative weights are all rejected: a single NaN admitted into
+// the overlay poisons m2, the degrees and every community degree, making
+// Modularity() NaN forever after, and a silent ≤0→1 coercion would hide
+// caller bugs the same way the pre-validation Options fields used to.
+// Match with errors.Is.
+var ErrBadWeight = graph.ErrBadWeight
 
 // Options configure the maintainer.
 type Options struct {
@@ -231,10 +230,10 @@ func (m *Maintainer) AddEdgeCtx(ctx context.Context, u, v int32, w float64) erro
 	if u < 0 || v < 0 {
 		return fmt.Errorf("dynamic: negative vertex id (%d, %d)", u, v)
 	}
-	// NaN fails every ordered comparison, so w <= 0 alone would admit it —
-	// the historical bug this check pins shut. Inf survives the sign test
-	// too and overflows m2 just as irreversibly.
-	if !(w > 0) || math.IsInf(w, 0) {
+	// NaN would slip past a plain w <= 0 test — the historical bug this
+	// check pins shut. Inf survives the sign test too and overflows m2 just
+	// as irreversibly.
+	if !graph.ValidWeight(w) {
 		return fmt.Errorf("%w: edge (%d, %d) has weight %v", ErrBadWeight, u, v, w)
 	}
 	m.pending = append(m.pending, graph.Edge{U: u, V: v, W: w})

@@ -3,12 +3,25 @@ package graph
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 )
+
+// ErrBadWeight reports an edge weight that is not a positive finite number.
+// The text loaders and the incremental overlay reject NaN, ±Inf, zero and
+// negative weights with it: one NaN or Inf poisons every weighted degree
+// and the total weight, and the iteration loop of a detection on such a
+// graph never converges. Match with errors.Is.
+var ErrBadWeight = errors.New("graph: edge weight must be a positive finite number")
+
+// ValidWeight reports whether w is a positive finite number. NaN fails
+// every ordered comparison, so a plain w <= 0 test would admit it.
+func ValidWeight(w float64) bool { return w > 0 && !math.IsInf(w, 0) }
 
 // ReadEdgeList parses a whitespace-separated edge list: one "u v [w]" per
 // line, 0-based vertex ids, '#' or '%' comment lines ignored. Lines with a
@@ -42,8 +55,8 @@ func ReadEdgeList(r io.Reader, p int) (*Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad weight %q: %w", lineNo, fields[2], err)
 			}
-			if w <= 0 {
-				return nil, fmt.Errorf("graph: line %d: non-positive weight %v", lineNo, w)
+			if !ValidWeight(w) {
+				return nil, fmt.Errorf("%w: line %d: weight %v", ErrBadWeight, lineNo, w)
 			}
 		}
 		b.AddEdge(int32(u), int32(v), w)
@@ -134,6 +147,9 @@ func ReadMETIS(r io.Reader, p int) (*Graph, error) {
 				w, err = strconv.ParseFloat(fields[idx+1], 64)
 				if err != nil {
 					return nil, fmt.Errorf("graph: METIS vertex %d: bad weight: %w", vertex+1, err)
+				}
+				if !ValidWeight(w) {
+					return nil, fmt.Errorf("%w: METIS vertex %d: weight %v", ErrBadWeight, vertex+1, w)
 				}
 			}
 			// Each undirected edge appears in both adjacency lines; keep the

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -55,6 +56,32 @@ func TestReadEdgeListErrors(t *testing.T) {
 	for _, in := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(in), 1); err == nil {
 			t.Fatalf("input %q: want error", in)
+		}
+	}
+}
+
+// TestLoadersRejectBadWeights pins the weight admission of both text
+// loaders: a weight that is not a positive finite number is an
+// ErrBadWeight error. A NaN or Inf weight used to load and then keep the
+// detection's iteration loop from ever converging; METIS used to coerce a
+// non-positive weight to 1.
+func TestLoadersRejectBadWeights(t *testing.T) {
+	for _, w := range []string{"nan", "NaN", "inf", "+Inf", "-inf", "0", "-0", "-3"} {
+		edges := "0 1 " + w + "\n1 2 1\n"
+		if _, err := ReadEdgeList(strings.NewReader(edges), 1); !errors.Is(err, ErrBadWeight) {
+			t.Errorf("edge list weight %q: err = %v, want ErrBadWeight", w, err)
+		}
+		metis := "3 2 1\n2 " + w + "\n1 " + w + " 3 1\n2 1\n"
+		if _, err := ReadMETIS(strings.NewReader(metis), 1); !errors.Is(err, ErrBadWeight) {
+			t.Errorf("METIS weight %q: err = %v, want ErrBadWeight", w, err)
+		}
+	}
+	for _, w := range []string{"1", "0.25", "1e300"} {
+		if _, err := ReadEdgeList(strings.NewReader("0 1 "+w+"\n"), 1); err != nil {
+			t.Errorf("edge list weight %q: %v", w, err)
+		}
+		if _, err := ReadMETIS(strings.NewReader("2 1 1\n2 "+w+"\n1 "+w+"\n"), 1); err != nil {
+			t.Errorf("METIS weight %q: %v", w, err)
 		}
 	}
 }

@@ -26,7 +26,7 @@ import "slices"
 // the same locality argument as the graph's interleaved arc layout.
 //
 // A SparseAccum is not safe for concurrent use; give each worker its own
-// (see ForChunkWorker's worker index).
+// (see ForChunkWorkerCtx's worker index).
 type SparseAccum struct {
 	slots []accumSlot // slots[k].val is meaningful iff slots[k].mark == gen
 	keys  []int32     // keys touched since Reset, first-touch order

@@ -85,7 +85,7 @@ func TestForChunkWorkerCoversRangeWithValidWorkerIDs(t *testing.T) {
 	seen := make([]int32, n)
 	var mu sync.Mutex
 	workersUsed := map[int]bool{}
-	ForChunkWorker(n, p, 17, func(w, lo, hi int) {
+	ForChunkWorkerCtx(struct{}{}, n, p, 17, func(_ struct{}, w, lo, hi int) {
 		if w < 0 || w >= nw {
 			t.Errorf("worker id %d out of [0,%d)", w, nw)
 		}

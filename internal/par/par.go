@@ -34,52 +34,37 @@ func normWorkers(p, n int) int {
 	return p
 }
 
-// For runs body(i) for every i in [0, n) using p workers. Iterations are
-// distributed in contiguous blocks computed from a shared atomic cursor with
-// a grain size that amortizes the cursor contention; this mirrors OpenMP's
-// "schedule(dynamic, grain)" which the paper's irregular sweeps need (vertex
-// costs are proportional to degree and highly skewed on several inputs).
-func For(n, p int, body func(i int)) {
-	ForChunk(n, p, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
-}
-
 // ForChunk runs body(lo, hi) over disjoint chunks covering [0, n) using p
-// workers. grain is the chunk size; grain <= 0 selects a size that yields
-// roughly 8 chunks per worker, a reasonable balance between scheduling
-// overhead and load balance for skewed work.
+// workers. Chunks are claimed from a shared atomic cursor, mirroring
+// OpenMP's "schedule(dynamic, grain)", which the paper's irregular sweeps
+// need (vertex costs are proportional to degree and highly skewed on
+// several inputs). grain is the chunk size; grain <= 0 selects a size that
+// yields roughly 8 chunks per worker, a reasonable balance between
+// scheduling overhead and load balance for skewed work.
 func ForChunk(n, p, grain int, body func(lo, hi int)) {
-	ForChunkWorker(n, p, grain, func(_, lo, hi int) { body(lo, hi) })
+	ForChunkCtx(body, n, p, grain, func(b func(lo, hi int), lo, hi int) { b(lo, hi) })
 }
 
 // Workers returns the effective worker count a loop over n items will use
 // for a requested parallelism p: p clamped to [1, n] with the default
 // substituted for p <= 0. Callers sizing per-worker state (scratch pools
-// indexed by the worker argument of ForChunkWorker / ForChunkPrefix /
+// indexed by the worker argument of ForChunkWorkerCtx / ForChunkPrefix /
 // ForStatic) should allocate exactly this many slots.
 func Workers(p, n int) int { return normWorkers(p, n) }
 
-// ForChunkWorker is ForChunk with the claiming worker's index (in
+// ForChunkWorkerCtx is ForChunk with the claiming worker's index (in
 // [0, Workers(p, n))) passed to the body, so callers can reuse per-worker
 // scratch state (e.g. a SparseAccum per worker) across chunks instead of
-// allocating per chunk. Chunks are still dynamically scheduled; the worker
-// index only identifies the goroutine, not a static range.
-func ForChunkWorker(n, p, grain int, body func(worker, lo, hi int)) {
-	ForChunkWorkerCtx(body, n, p, grain, func(b func(worker, lo, hi int), w, lo, hi int) {
-		b(w, lo, hi)
-	})
-}
-
-// ForChunkWorkerCtx is ForChunkWorker with an explicit context value threaded
-// into the body instead of captured by it. A CAPTURELESS body literal is a
-// static function value, so — unlike the closure-based variants, whose body
-// parameter escapes into the worker goroutines and therefore heap-allocates
-// the capturing closure at every call site — a single-worker call allocates
-// nothing. The pooled-engine hot loops use these ...Ctx forms so a warmed
-// Engine.Run is allocation-free end to end.
+// allocating per chunk; chunks are still dynamically scheduled, and the
+// worker index only identifies the goroutine, not a static range.
+//
+// The context value ctx is threaded into the body instead of captured by
+// it. A CAPTURELESS body literal is a static function value, so — unlike
+// the closure-based variants, whose body parameter escapes into the worker
+// goroutines and therefore heap-allocates the capturing closure at every
+// call site — a single-worker call allocates nothing. The pooled-engine hot
+// loops use these ...Ctx forms so a warmed Engine.Run is allocation-free
+// end to end.
 func ForChunkWorkerCtx[C any](ctx C, n, p, grain int, body func(ctx C, worker, lo, hi int)) {
 	p = normWorkers(p, n)
 	if n == 0 {
@@ -274,16 +259,11 @@ func ForStaticCtx[C any](ctx C, n, p int, body func(ctx C, worker, lo, hi int)) 
 	wg.Wait()
 }
 
-// SumFloat64 computes the sum of f(i) over [0, n) in parallel with a
-// deterministic reduction order (per-worker partials combined in worker
-// order), so results are reproducible for a fixed p.
-func SumFloat64(n, p int, f func(i int) float64) float64 {
-	return SumFloat64Ctx(f, n, p, func(f func(i int) float64, i int) float64 { return f(i) })
-}
-
-// SumFloat64Ctx is SumFloat64 with an explicit context value (see
-// ForChunkWorkerCtx for why: captureless bodies make single-worker calls
-// allocation-free).
+// SumFloat64Ctx computes the sum of f(ctx, i) over [0, n) in parallel with
+// a deterministic reduction order (per-worker partials combined in worker
+// order), so results are reproducible for a fixed p. The context value is
+// explicit (see ForChunkWorkerCtx for why: captureless bodies make
+// single-worker calls allocation-free).
 func SumFloat64Ctx[C any](ctx C, n, p int, f func(ctx C, i int) float64) float64 {
 	p = normWorkers(p, n)
 	if p == 1 {
@@ -312,38 +292,8 @@ func SumFloat64Ctx[C any](ctx C, n, p int, f func(ctx C, i int) float64) float64
 	return total
 }
 
-// SumInt64 is the integer analog of SumFloat64.
-func SumInt64(n, p int, f func(i int) int64) int64 {
-	p = normWorkers(p, n)
-	if p == 1 {
-		var s int64
-		for i := 0; i < n; i++ {
-			s += f(i)
-		}
-		return s
-	}
-	partials := make([]int64, p)
-	ForStatic(n, p, func(w, lo, hi int) {
-		var s int64
-		for i := lo; i < hi; i++ {
-			s += f(i)
-		}
-		partials[w] = s
-	})
-	var total int64
-	for _, s := range partials {
-		total += s
-	}
-	return total
-}
-
-// MaxInt64 computes the maximum of f(i) over [0, n) in parallel. It returns
-// 0 for n == 0.
-func MaxInt64(n, p int, f func(i int) int64) int64 {
-	return MaxInt64Ctx(f, n, p, func(f func(i int) int64, i int) int64 { return f(i) })
-}
-
-// MaxInt64Ctx is MaxInt64 with an explicit context value (see
+// MaxInt64Ctx computes the maximum of f(ctx, i) over [0, n) in parallel. It
+// returns 0 for n == 0. The context value is explicit (see
 // ForChunkWorkerCtx for why: captureless bodies make single-worker calls
 // allocation-free).
 func MaxInt64Ctx[C any](ctx C, n, p int, f func(ctx C, i int) int64) int64 {

@@ -11,7 +11,11 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 8} {
 		for _, n := range []int{0, 1, 7, 1000} {
 			hits := make([]int32, n)
-			For(n, p, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			ForChunkCtx(hits, n, p, 0, func(hits []int32, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&hits[i], 1)
+				}
+			})
 			for i, h := range hits {
 				if h != 1 {
 					t.Fatalf("p=%d n=%d: index %d hit %d times", p, n, i, h)
@@ -64,36 +68,40 @@ func TestForStaticSlabsArePartition(t *testing.T) {
 func TestSumFloat64MatchesSerial(t *testing.T) {
 	n := 10000
 	want := 0.0
-	f := func(i int) float64 { return float64(i%97) * 0.5 }
+	f := func(_ struct{}, i int) float64 { return float64(i%97) * 0.5 }
 	for i := 0; i < n; i++ {
-		want += f(i)
+		want += f(struct{}{}, i)
 	}
 	for _, p := range []int{1, 2, 4, 16} {
-		got := SumFloat64(n, p, f)
+		got := SumFloat64Ctx(struct{}{}, n, p, f)
 		if math.Abs(got-want) > 1e-6 {
 			t.Fatalf("p=%d: got %v want %v", p, got, want)
 		}
 	}
 }
 
+// TestSumInt64AndMaxInt64 pins the integer reductions. Integer sums run
+// through SumFloat64Ctx, the one sum the code has: partial sums below 2^53
+// are exact in float64.
 func TestSumInt64AndMaxInt64(t *testing.T) {
 	n := 5000
-	f := func(i int) int64 { return int64((i * 7) % 101) }
+	f := func(_ struct{}, i int) int64 { return int64((i * 7) % 101) }
 	var want int64
 	var wantMax int64
 	for i := 0; i < n; i++ {
-		want += f(i)
-		if f(i) > wantMax {
-			wantMax = f(i)
+		want += f(struct{}{}, i)
+		if f(struct{}{}, i) > wantMax {
+			wantMax = f(struct{}{}, i)
 		}
 	}
-	if got := SumInt64(n, 4, f); got != want {
-		t.Fatalf("sum: got %d want %d", got, want)
+	sum := func(_ struct{}, i int) float64 { return float64(f(struct{}{}, i)) }
+	if got := SumFloat64Ctx(struct{}{}, n, 4, sum); got != float64(want) {
+		t.Fatalf("sum: got %v want %d", got, want)
 	}
-	if got := MaxInt64(n, 4, f); got != wantMax {
+	if got := MaxInt64Ctx(struct{}{}, n, 4, f); got != wantMax {
 		t.Fatalf("max: got %d want %d", got, wantMax)
 	}
-	if got := MaxInt64(0, 4, f); got != 0 {
+	if got := MaxInt64Ctx(struct{}{}, 0, 4, f); got != 0 {
 		t.Fatalf("max of empty: got %d want 0", got)
 	}
 }
@@ -155,7 +163,11 @@ func TestExclusivePrefixSumProperty(t *testing.T) {
 func TestAtomicFloat64Concurrent(t *testing.T) {
 	var a Float64
 	const workers, adds = 8, 10000
-	For(workers*adds, workers, func(i int) { a.Add(0.5) })
+	ForChunkCtx(&a, workers*adds, workers, 0, func(a *Float64, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			a.Add(0.5)
+		}
+	})
 	want := float64(workers*adds) * 0.5
 	if got := a.Load(); got != want {
 		t.Fatalf("got %v want %v", got, want)
@@ -169,7 +181,11 @@ func TestAtomicFloat64Concurrent(t *testing.T) {
 func TestAddFloat64DenseArrayConcurrent(t *testing.T) {
 	cells := make([]float64, 16)
 	const total = 64000
-	For(total, 8, func(i int) { AddFloat64(&cells[i%16], 1) })
+	ForChunkCtx(cells, total, 8, 0, func(cells []float64, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			AddFloat64(&cells[i%16], 1)
+		}
+	})
 	for i, c := range cells {
 		if c != total/16 {
 			t.Fatalf("cell %d = %v, want %d", i, c, total/16)

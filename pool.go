@@ -75,6 +75,15 @@ type PoolStats struct {
 	Faulted int64
 }
 
+// add accumulates o's counters into s.
+func (s *PoolStats) add(o PoolStats) {
+	s.Led += o.Led
+	s.Batched += o.Batched
+	s.Waited += o.Waited
+	s.Canceled += o.Canceled
+	s.Faulted += o.Faulted
+}
+
 // pooledEngine pairs an engine with the largest graph shape it has served,
 // the size class used to match idle engines to requests.
 type pooledEngine struct {
@@ -120,6 +129,11 @@ func (p *Pool) Stats() PoolStats {
 	}
 }
 
+// A Pool is the seam's base case: its own engines and counters.
+func (p *Pool) enginePool() *Pool          { return p }
+func (p *Pool) engineStats() PoolStats     { return p.Stats() }
+func (p *Pool) degradedTier(dp *Pool) tier { return dp }
+
 // Detect acquires an engine (queuing FIFO behind earlier arrivals until one
 // is available or ctx is done), runs detection on g, and returns a fresh
 // Result independent of the pool. See Detector.Detect for the cancellation
@@ -130,8 +144,8 @@ func (p *Pool) Detect(ctx context.Context, g *Graph) (*Result, error) {
 
 // DetectInto is Detect recycling a caller-provided Result (see
 // Detector.DetectInto): a serving loop that passes its previous Result back
-// in makes warm same-shape requests allocate nothing at all. A nil res
-// allocates a fresh Result.
+// in makes warm same-shape requests on a Workers(1) pool allocate nothing
+// at all. A nil res allocates a fresh Result.
 func (p *Pool) DetectInto(ctx context.Context, g *Graph, res *Result) (*Result, error) {
 	if g == nil {
 		return nil, ErrNilGraph
@@ -139,45 +153,61 @@ func (p *Pool) DetectInto(ctx context.Context, g *Graph, res *Result) (*Result, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := p.sem.Acquire(ctx); err != nil {
-		p.canceled.Add(1)
+	pe, err := p.checkout(ctx, g.N())
+	if err != nil {
 		return nil, err
 	}
-	// The permit is released on every exit — including a panicking run (an
-	// engine bug surfaced to a server that recovers per request) — or Size
+	// Check-in runs on every exit, including a panicking run (an engine bug
+	// surfaced to a server that recovers per request): a run that did not
+	// complete is quarantined, and the permit is always released, or Size
 	// panics would shrink the pool into a permanent deadlock.
-	defer p.sem.Release()
-	pe := p.take(g.N())
-	completed := false
-	// Quarantine on panic: a run that did not complete normally may have
-	// left the engine's scratch in an arbitrary state, so the engine is
-	// DROPPED, never recycled — the released permit lazily re-creates a
-	// fresh engine on the next take. This defer runs before the permit
-	// release above (LIFO), so an engine's fate is always decided while
-	// its slot is still held. The maxN update below runs before either
-	// defer fires, so an engine is never visible in the idle list with a
-	// stale size class.
-	defer func() {
-		if !completed {
-			p.faulted.Add(1)
-			return
-		}
-		p.put(pe)
-	}()
-	p.led.Add(1)
+	completed, grown := false, 0
+	defer func() { p.checkin(pe, completed, grown) }()
 	faults.Maybe(faults.PoolServe)
-	res, err := pe.eng.RunIntoCtx(ctx, g, res)
+	res, err = pe.eng.RunIntoCtx(ctx, g, res)
 	completed = true
 	// Only a completed run has demonstrably grown the engine's scratch to
 	// this shape; a canceled run may have bailed before touching it, and
 	// counting it would misclassify a cold engine as the warmest fit.
-	if n := g.N(); err == nil && n > pe.maxN {
-		pe.maxN = n
-	}
-	if err != nil {
+	if err == nil {
+		grown = g.N()
+	} else {
 		p.canceled.Add(1)
 	}
 	return res, err
+}
+
+// checkout is the one engine checkout path — Pool requests and Sharded's
+// per-shard runs alike: it queues FIFO-fair for a permit, then takes the
+// best-fitting engine for an n-vertex run and counts the run as led. Every
+// successful checkout must be paired with exactly one checkin.
+func (p *Pool) checkout(ctx context.Context, n int) (*pooledEngine, error) {
+	if err := p.sem.Acquire(ctx); err != nil {
+		p.canceled.Add(1)
+		return nil, err
+	}
+	pe := p.take(n)
+	p.led.Add(1)
+	return pe, nil
+}
+
+// checkin ends a checkout. A run that did not complete normally (ok false)
+// may have left the engine's scratch in an arbitrary state, so the engine
+// is quarantined — DROPPED, never recycled; the released permit lazily
+// re-creates a fresh engine on the next take. A recycled engine's size
+// class is raised to grown, the vertex count its scratch has demonstrably
+// reached (0 for none), before it becomes visible in the idle list. The
+// engine's fate is decided while its permit is still held.
+func (p *Pool) checkin(pe *pooledEngine, ok bool, grown int) {
+	if ok {
+		if grown > pe.maxN {
+			pe.maxN = grown
+		}
+		p.put(pe)
+	} else {
+		p.faulted.Add(1)
+	}
+	p.sem.Release()
 }
 
 // take pops the best-fitting idle engine for an n-vertex request: the

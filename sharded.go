@@ -135,6 +135,12 @@ func (s *Sharded) Pool() *Pool { return s.pool }
 // plus one for the master merge.
 func (s *Sharded) Stats() PoolStats { return s.pool.Stats() }
 
+// The degraded set serves a sharded backend from a plain pool: the
+// degraded profile exists to be cheap, and a shard pipeline is not.
+func (s *Sharded) enginePool() *Pool          { return s.pool }
+func (s *Sharded) engineStats() PoolStats     { return s.Stats() }
+func (s *Sharded) degradedTier(dp *Pool) tier { return dp }
+
 // Detect runs a sharded detection on g and returns a fresh Result. See
 // Detector.Detect for the cancellation contract.
 func (s *Sharded) Detect(ctx context.Context, g *Graph) (*Result, error) {
@@ -177,37 +183,27 @@ func (s *Sharded) String() string {
 		s.opts.Shards, s.opts.Rounds, s.opts.Mode, s.pool.Size())
 }
 
-// poolEngines adapts the Pool's permit + size-classed checkout to the shard
-// runner's Engines seam: every shard sweep and the master merge queue
-// FIFO-fair for a pool permit exactly like a Detect request, and a release
-// with ok=false quarantines the engine just like a panicking pool run.
+// poolEngines adapts the Pool's checkout path to the shard runner's Engines
+// seam: every shard sweep and the master merge queue FIFO-fair for a pool
+// permit exactly like a Detect request, and a release with ok=false
+// quarantines the engine just like a panicking pool run.
 type poolEngines struct{ p *Pool }
 
 func (pe poolEngines) Acquire(ctx context.Context, n int) (*core.Engine, func(ok bool), error) {
-	if err := pe.p.sem.Acquire(ctx); err != nil {
-		pe.p.canceled.Add(1)
+	e, err := pe.p.checkout(ctx, n)
+	if err != nil {
 		return nil, nil, err
 	}
-	e := pe.p.take(n)
-	pe.p.led.Add(1)
 	released := false
 	release := func(ok bool) {
 		if released {
 			return
 		}
 		released = true
-		if ok {
-			// A non-panicking run has grown the engine's scratch to this
-			// shape (the shard sweep resets scratch before its first
-			// cancellation point), so the size class is current.
-			if n > e.maxN {
-				e.maxN = n
-			}
-			pe.p.put(e)
-		} else {
-			pe.p.faulted.Add(1)
-		}
-		pe.p.sem.Release()
+		// A non-panicking run has grown the engine's scratch to this shape
+		// (the shard sweep resets scratch before its first cancellation
+		// point), so the size class is current even for a canceled run.
+		pe.p.checkin(e, ok, n)
 	}
 	return e.eng, release, nil
 }

@@ -8,11 +8,12 @@ import (
 	"grappolo/internal/dynamic"
 )
 
-// ErrBadEdgeWeight is returned by Stream.AddEdge when the edge weight is
-// not a positive finite number (NaN, ±Inf, zero or negative). A bad weight
-// is rejected before it can touch the overlay — silently coercing it, as
-// builders do for offline input, would corrupt the live modularity
-// bookkeeping every later batch builds on.
+// ErrBadEdgeWeight is returned by Stream.AddEdge, and by LoadGraph for an
+// edge-list or METIS file, when an edge weight is not a positive finite
+// number (NaN, ±Inf, zero or negative). A bad weight is rejected before it
+// can touch a graph — silently coercing it, as builders do for offline
+// input, would corrupt the modularity bookkeeping every later step builds
+// on, and a NaN or Inf weight keeps a detection from ever converging.
 var ErrBadEdgeWeight = dynamic.ErrBadWeight
 
 // Stream maintains communities under a live stream of edge insertions — the
