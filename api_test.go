@@ -3,6 +3,7 @@ package grappolo_test
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -246,6 +247,89 @@ func TestLoadGraphRejectsBadWeights(t *testing.T) {
 		}
 		if _, err := grappolo.LoadGraph(path, 1); !errors.Is(err, grappolo.ErrBadEdgeWeight) {
 			t.Errorf("%s: err = %v, want ErrBadEdgeWeight", name, err)
+		}
+	}
+}
+
+// TestNonFiniteWeightRejectedByEveryEntryPoint pins that an in-memory graph
+// carrying a NaN or +Inf weight — which NewBuilder's AddEdge stores as given
+// — fails fast with ErrBadEdgeWeight on every detection path instead of
+// iterating until the caller's deadline (or forever, without one).
+func TestNonFiniteWeightRejectedByEveryEntryPoint(t *testing.T) {
+	const deadline = 2 * time.Second
+	newPool := func(t *testing.T) *grappolo.Pool {
+		p, err := grappolo.NewPool(2, grappolo.Workers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	entries := []struct {
+		name string
+		run  func(t *testing.T, ctx context.Context, g *grappolo.Graph) error
+	}{
+		{"Detector", func(t *testing.T, ctx context.Context, g *grappolo.Graph) error {
+			d, err := grappolo.New(grappolo.Workers(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = d.Detect(ctx, g)
+			return err
+		}},
+		{"Pool", func(t *testing.T, ctx context.Context, g *grappolo.Graph) error {
+			_, err := newPool(t).Detect(ctx, g)
+			return err
+		}},
+		{"Batcher", func(t *testing.T, ctx context.Context, g *grappolo.Graph) error {
+			_, err := grappolo.NewBatcher(newPool(t)).Detect(ctx, g)
+			return err
+		}},
+		{"CacheMiss", func(t *testing.T, ctx context.Context, g *grappolo.Graph) error {
+			c, err := grappolo.NewCache(newPool(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = c.Detect(ctx, g)
+			return err
+		}},
+		{"Guard", func(t *testing.T, ctx context.Context, g *grappolo.Graph) error {
+			gd, err := grappolo.NewGuard(newPool(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = gd.Detect(ctx, g)
+			return err
+		}},
+		{"Sharded", func(t *testing.T, ctx context.Context, g *grappolo.Graph) error {
+			s, err := grappolo.NewSharded(newPool(t), grappolo.WithShards(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = s.Detect(ctx, g)
+			return err
+		}},
+		{"NewStream", func(t *testing.T, ctx context.Context, g *grappolo.Graph) error {
+			_, err := grappolo.NewStream(g, []grappolo.Option{grappolo.Workers(2)})
+			return err
+		}},
+	}
+	for _, w := range []float64{math.NaN(), math.Inf(1)} {
+		for _, e := range entries {
+			b := grappolo.NewBuilder(3)
+			b.AddEdge(0, 1, w)
+			b.AddEdge(1, 2, 1)
+			g := b.Build(1)
+			ctx, cancel := context.WithTimeout(context.Background(), deadline)
+			start := time.Now()
+			err := e.run(t, ctx, g)
+			elapsed := time.Since(start)
+			cancel()
+			if !errors.Is(err, grappolo.ErrBadEdgeWeight) {
+				t.Errorf("%s w=%v: err = %v, want ErrBadEdgeWeight", e.name, w, err)
+			}
+			if elapsed > deadline/4 {
+				t.Errorf("%s w=%v: took %v, want well inside the %v deadline", e.name, w, elapsed, deadline)
+			}
 		}
 	}
 }

@@ -227,11 +227,15 @@
 // live edge insertions with batched incremental updates and pooled full
 // re-detections. AddEdge rejects weights that are not positive finite
 // numbers with ErrBadEdgeWeight (a NaN or Inf would corrupt the live
-// modularity bookkeeping irreversibly), FlushCtx surfaces cancellation of
-// the full re-detections a flush can escalate to (the overlay stays
-// consistent and the refresh is retried on the next flush), and OnApply
-// registers a post-batch hook — the natural place to call Cache.Invalidate
-// for the stream's seed graph. Synthetic inputs reproducing the paper's
+// modularity bookkeeping irreversibly); NewStream, and every detection
+// entry point, likewise rejects a graph whose total weight is NaN or
+// infinite — which a Builder or FromEdges graph can carry, since they
+// store such weights as given — with ErrBadEdgeWeight instead of iterating
+// without converging. FlushCtx surfaces cancellation of the full
+// re-detections a flush can escalate to (the overlay stays consistent and
+// the refresh is retried on the next flush), and OnApply registers a
+// post-batch hook — the natural place to call Cache.Invalidate for the
+// stream's seed graph. Synthetic inputs reproducing the paper's
 // 11-graph suite live in grappolo/generate; partition-agreement measures
 // (Table 3) in grappolo/quality.
 //
@@ -250,7 +254,7 @@
 // par.SparseAccum: a flat value array indexed directly by community id, a
 // dense list of touched keys in first-touch order, and a generation stamp
 // per slot so Reset is O(1) and no clearing ever touches untouched slots.
-// Accumulators are pooled per worker (par.ForChunkWorkerCtx/ForChunkPrefixCtx
+// Accumulators are pooled per worker (par.ForChunkCtx/ForChunkPrefixCtx
 // expose the worker index) and reused across sweeps, making the
 // steady-state decide loop allocation-free; sweep chunks are balanced by
 // arc count over the CSR offsets rather than vertex count, so hub-heavy
@@ -284,7 +288,8 @@
 //
 // The zero-alloc guarantee leans on two conventions enforced throughout the
 // hot paths: loop bodies are package-level captureless functions receiving
-// their state as an explicit context argument (par.ForChunkCtx and friends —
+// their state as an explicit context argument (par.ForChunkCtx and the
+// other par.*Ctx loops, all dispatched by one fork-join in internal/par —
 // a capturing closure heap-allocates at every call site because the body
 // parameter escapes into the worker goroutines), and contexts larger than
 // 128 bytes are passed by pointer to pooled storage (Go captures bigger

@@ -2,6 +2,7 @@ package grappolo_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -37,33 +38,58 @@ func checkPartition(t *testing.T, g *grappolo.Graph, res *grappolo.Result) {
 
 // FuzzGraphBuilder feeds arbitrary edge lists — self-loops, duplicates in
 // both orientations, isolated vertices, zero and negative weights (the
-// builder's documented unweighted-input coercion) — through the public
-// Builder and a full detection. The graph must always pass its own
-// Validate, and detection must produce a valid partition with a finite
-// score; the graph must survive detection unmodified.
+// builder's documented unweighted-input coercion), NaN and ±Inf — through
+// the public Builder and a full detection. The builder stores NaN and +Inf
+// as given and coerces -Inf like every non-positive weight. A graph with a
+// finite total weight must pass its own Validate, and detection must
+// produce a valid partition with a finite score without modifying the
+// graph; a graph carrying a NaN or +Inf weight must be rejected with
+// ErrBadEdgeWeight.
 func FuzzGraphBuilder(f *testing.F) {
 	f.Add(uint8(6), []byte{0, 1, 1, 0, 1, 2, 1, 0, 0, 2, 1, 0, 3, 3, 0, 0})
 	f.Add(uint8(1), []byte{})
 	f.Add(uint8(40), []byte{0, 0, 0, 0, 5, 5, 128, 0, 7, 7, 255, 3, 1, 2, 3, 4, 2, 1, 3, 4})
 	f.Add(uint8(13), []byte{12, 3, 200, 9, 3, 12, 200, 9, 12, 3, 0, 1})
+	f.Add(uint8(3), []byte{0, 1, 127, 0xfd, 1, 2, 1, 0})
+	f.Add(uint8(3), []byte{0, 1, 127, 0xfe, 1, 2, 1, 0})
+	f.Add(uint8(3), []byte{0, 1, 127, 0xff, 1, 2, 1, 0})
 	f.Fuzz(func(t *testing.T, nRaw uint8, data []byte) {
 		n := int(nRaw)%64 + 1
 		b := grappolo.NewBuilder(n)
+		poisoned := false // a NaN or +Inf weight was added
 		for i := 0; i+3 < len(data) && i < 4*512; i += 4 {
 			u := int32(data[i]) % int32(n)
 			v := int32(data[i+1]) % int32(n)
 			// int8 reinterpretation covers negative and zero weights, which
 			// the builder must coerce to 1 (unweighted-input convention);
-			// the fractional part exercises weight merging.
+			// the fractional part exercises weight merging. Weight byte 127
+			// with fraction byte 0xfd, 0xfe or 0xff selects NaN, +Inf or
+			// -Inf instead.
 			w := float64(int8(data[i+2])) + float64(data[i+3])/256
+			if data[i+2] == 127 {
+				switch data[i+3] {
+				case 0xfd:
+					w, poisoned = math.NaN(), true
+				case 0xfe:
+					w, poisoned = math.Inf(1), true
+				case 0xff:
+					w = math.Inf(-1)
+				}
+			}
 			b.AddEdge(u, v, w)
 		}
 		g := b.Build(2)
+		weightBefore := g.TotalWeight()
+		res, err := grappolo.Detect(context.Background(), g, grappolo.Workers(2))
+		if poisoned {
+			if !errors.Is(err, grappolo.ErrBadEdgeWeight) {
+				t.Fatalf("detection on a NaN/+Inf-weighted graph: err = %v, want ErrBadEdgeWeight", err)
+			}
+			return
+		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("builder produced an invalid graph: %v", err)
 		}
-		weightBefore := g.TotalWeight()
-		res, err := grappolo.Detect(context.Background(), g, grappolo.Workers(2))
 		if err != nil {
 			t.Fatalf("detection failed on a valid graph: %v", err)
 		}

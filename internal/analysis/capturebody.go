@@ -19,8 +19,8 @@ import (
 var CaptureBody = &Analyzer{
 	Name: "capturebody",
 	Doc: "flag capturing closures passed as bodies of par.ForChunkCtx-family helpers\n\n" +
-		"Function-typed arguments of ForChunkCtx, ForChunkWorkerCtx, ForChunkPrefixCtx,\n" +
-		"ForStaticCtx, ForStagesCtx, SumFloat64Ctx and MaxInt64Ctx must be package-level\n" +
+		"Function-typed arguments of ForChunkCtx, ForChunkPrefixCtx, ForStaticCtx,\n" +
+		"ForStagesCtx, SumFloat64Ctx and MaxInt64Ctx must be package-level\n" +
 		"functions or captureless literals; anything that captures variables or binds a\n" +
 		"receiver heap-allocates on every call (the body escapes into worker goroutines),\n" +
 		"violating the zero-alloc warm-run contract.",
@@ -31,7 +31,6 @@ var CaptureBody = &Analyzer{
 // captureless. The map value is unused; membership is the contract.
 var ctxHelpers = map[string]bool{
 	"ForChunkCtx":       true,
-	"ForChunkWorkerCtx": true,
 	"ForChunkPrefixCtx": true,
 	"ForStaticCtx":      true,
 	"ForStagesCtx":      true,

@@ -27,9 +27,10 @@ func stageLen(st *state, s int) int { return s }
 // literals.
 func good(st *state, prefix []int64, n, p int) {
 	par.ForChunkPrefixCtx(st, prefix, p, sweepBody)
-	par.ForChunkWorkerCtx(st, n, p, 0, sweepBody)
+	par.ForChunkCtx(st, n, p, 0, sweepBody)
+	par.ForStaticCtx(st, n, p, sweepBody)
 	par.ForStagesCtx(st, 3, stageLen, p, stageBody)
-	par.ForChunkCtx(st, n, p, 0, func(st *state, lo, hi int) {
+	par.ForChunkCtx(st, n, p, 0, func(st *state, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			st.curr[i] = 0
 		}
@@ -64,7 +65,7 @@ func sweepUncoloredLeaky(st *state, prefix []int64, workers int) {
 
 // badMulti captures two variables; both are named in the diagnostic.
 func badMulti(st *state, n, p, bias int) {
-	par.ForChunkCtx(0, n, p, 0, func(_ int, lo, hi int) { // want `captures bias, st`
+	par.ForChunkCtx(0, n, p, 0, func(_ int, _, lo, hi int) { // want `captures bias, st`
 		for i := lo; i < hi; i++ {
 			st.curr[i] = int32(bias)
 		}
@@ -87,7 +88,7 @@ func badReduction(st *state, n, p int, scale float64) float64 {
 // badMethodValue: a bound method value allocates per evaluation exactly
 // like a capturing closure.
 func badMethodValue(st *state, n, p int) {
-	par.ForChunkWorkerCtx(st, n, p, 0, st.boundBody) // want `method value`
+	par.ForChunkCtx(st, n, p, 0, st.boundBody) // want `method value`
 }
 
 func (st *state) boundBody(_ *state, w, lo, hi int) {}

@@ -6,11 +6,7 @@ package par
 
 func ForChunk(n, p, grain int, body func(lo, hi int)) { body(0, n) }
 
-func ForChunkCtx[C any](ctx C, n, p, grain int, body func(ctx C, lo, hi int)) {
-	body(ctx, 0, n)
-}
-
-func ForChunkWorkerCtx[C any](ctx C, n, p, grain int, body func(ctx C, worker, lo, hi int)) {
+func ForChunkCtx[C any](ctx C, n, p, grain int, body func(ctx C, worker, lo, hi int)) {
 	body(ctx, 0, 0, n)
 }
 
@@ -18,7 +14,7 @@ func ForChunkPrefixCtx[C any](ctx C, prefix []int64, p int, body func(ctx C, wor
 	body(ctx, 0, 0, len(prefix)-1)
 }
 
-func ForStaticCtx[C any](ctx C, n, p int, body func(ctx C, worker, lo, hi int)) {
+func ForStaticCtx[C any](ctx C, n, p int, body func(ctx C, slab, lo, hi int)) {
 	body(ctx, 0, 0, n)
 }
 

@@ -174,7 +174,7 @@ func Rebalance(g *graph.Graph, base *Coloring, o RebalanceOptions) *Coloring {
 }
 
 // rebalCtx carries one rebalance round's state into the captureless loop
-// bodies, passed by pointer (see par.ForChunkWorkerCtx and Scratch for why
+// bodies, passed by pointer (see par.ForChunkCtx and Scratch for why
 // capturing closures and large by-value contexts are avoided on the
 // pooled-engine path).
 type rebalCtx struct {

@@ -211,7 +211,7 @@ func ParallelWith(g *graph.Graph, p int, s *Scratch) *Coloring {
 		// Neighbor colors move under our feet (by design); each worker marks
 		// whatever colors it observes in its flat generation-stamped marker
 		// and takes the smallest unmarked one.
-		par.ForChunkWorkerCtx(ctx, len(worklist), p, 0, speculatePhase)
+		par.ForChunkCtx(ctx, len(worklist), p, 0, speculatePhase)
 		// Phase 2: conflict detection. Colors are stable during this phase;
 		// of two adjacent same-colored vertices the higher id loses and is
 		// recolored next round.
@@ -238,7 +238,7 @@ func ParallelWith(g *graph.Graph, p int, s *Scratch) *Coloring {
 }
 
 // specCtx carries one speculative round's state into the captureless loop
-// bodies, passed by pointer (see par.ForChunkWorkerCtx and the Scratch field
+// bodies, passed by pointer (see par.ForChunkCtx and the Scratch field
 // comment: capturing closures — or by-value contexts over 128 bytes — would
 // heap-allocate at every round even on a single worker).
 type specCtx struct {
@@ -273,7 +273,7 @@ func speculatePhase(c *specCtx, w, lo, hi int) {
 	}
 }
 
-func conflictPhase(c *specCtx, lo, hi int) {
+func conflictPhase(c *specCtx, _, lo, hi int) {
 	for t := lo; t < hi; t++ {
 		i := c.worklist[t]
 		conflict := false
@@ -326,7 +326,7 @@ func ParallelDistance2With(g *graph.Graph, p int, s *Scratch) *Coloring {
 		ctx := &s.spc
 		*ctx = specCtx{g: g, colors: colors, worklist: worklist,
 			markers: markers, flags: conflicts[:len(worklist)]}
-		par.ForChunkWorkerCtx(ctx, len(worklist), p, 0, speculatePhase2)
+		par.ForChunkCtx(ctx, len(worklist), p, 0, speculatePhase2)
 		par.ForChunkCtx(ctx, len(worklist), p, 0, conflictPhase2)
 		next := worklist[:0]
 		for t, f := range ctx.flags {
@@ -387,7 +387,7 @@ func speculatePhase2(c *specCtx, w, lo, hi int) {
 	}
 }
 
-func conflictPhase2(c *specCtx, lo, hi int) {
+func conflictPhase2(c *specCtx, _, lo, hi int) {
 	for t := lo; t < hi; t++ {
 		i := c.worklist[t]
 		conflict := false

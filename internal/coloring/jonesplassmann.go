@@ -58,7 +58,7 @@ func JonesPlassmannWith(g *graph.Graph, p int, seed uint64, s *Scratch) *Colorin
 		// adjacent: both being local maxima over each other is impossible
 		// with distinct priorities).
 		s.coloredCount = 0
-		par.ForChunkWorkerCtx(ctx, n, p, 0, jpColorPhase)
+		par.ForChunkCtx(ctx, n, p, 0, jpColorPhase)
 		remaining -= s.coloredCount
 	}
 	s.jpc = jpCtx{} // drop graph/slice references until the next kernel call
@@ -72,7 +72,7 @@ func JonesPlassmannWith(g *graph.Graph, p int, seed uint64, s *Scratch) *Colorin
 }
 
 // jpCtx carries one Jones–Plassmann round's state into the captureless loop
-// bodies, passed by pointer (see par.ForChunkWorkerCtx and Scratch).
+// bodies, passed by pointer (see par.ForChunkCtx and Scratch).
 type jpCtx struct {
 	g       *graph.Graph
 	colors  []int32
@@ -82,7 +82,7 @@ type jpCtx struct {
 	colored *int64
 }
 
-func jpSelectPhase(c *jpCtx, lo, hi int) {
+func jpSelectPhase(c *jpCtx, _, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		c.active[i] = false
 		if c.colors[i] >= 0 {

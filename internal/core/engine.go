@@ -97,7 +97,8 @@ func NewEngine(opts Options) *Engine {
 func (e *Engine) Options() Options { return e.opts }
 
 // Run executes the full pipeline on g (see Run's package-level documentation)
-// into a freshly allocated Result.
+// into a freshly allocated Result. It returns nil for a graph whose total
+// weight is not finite; RunCtx reports that case as an error.
 func (e *Engine) Run(g *graph.Graph) *Result {
 	res, _ := e.runInto(nil, g, nil)
 	return res
@@ -111,7 +112,9 @@ func (e *Engine) Run(g *graph.Graph) *Result {
 // worst-case cancellation latency by one such step. On cancellation it returns
 // (nil, ctx.Err()); the engine's scratch stays consistent and the next run
 // reuses it as usual. A nil or never-canceled context adds only nil checks
-// at the barriers — the per-item hot loops are untouched.
+// at the barriers — the per-item hot loops are untouched. A graph whose
+// total weight is NaN or infinite is rejected up front with an error
+// wrapping graph.ErrBadWeight (see Graph.CheckWeight).
 func (e *Engine) RunCtx(ctx context.Context, g *graph.Graph) (*Result, error) {
 	return e.runInto(ctx, g, nil)
 }
@@ -239,7 +242,7 @@ type foldCtx struct {
 	phase []int32 // phase membership over the current coarse graph
 }
 
-func foldMembership(c *foldCtx, lo, hi int) {
+func foldMembership(c *foldCtx, _, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		c.total[i] = c.phase[c.total[i]]
 	}
@@ -276,7 +279,7 @@ func (e *Engine) reaggregateNodeSizes(membership []int32, nodeSize []int64, nc, 
 			h[c.membership[v]] += c.nodeSize[v]
 		}
 	})
-	par.ForChunkCtx(ctx, nc, workers, 0, func(c *nsCtx, lo, hi int) {
+	par.ForChunkCtx(ctx, nc, workers, 0, func(c *nsCtx, _, lo, hi int) {
 		for t := lo; t < hi; t++ {
 			var s int64
 			for w := range c.hist {
@@ -361,7 +364,11 @@ func (e *Engine) RunInto(g *graph.Graph, res *Result) *Result {
 // runInto is the shared pipeline behind Run/RunInto/RunCtx/RunIntoCtx. A nil
 // ctx disables cancellation entirely; with a context, cancellation is polled
 // at the level-loop and phase-sweep barriers and the error is ctx.Err().
+// A non-finite total weight fails before anything is touched.
 func (e *Engine) runInto(ctx context.Context, g *graph.Graph, res *Result) (*Result, error) {
+	if err := g.CheckWeight(); err != nil {
+		return nil, err
+	}
 	opts := e.opts
 	workers := opts.Workers
 	n := g.N()
@@ -385,7 +392,7 @@ func (e *Engine) runInto(ctx context.Context, g *graph.Graph, res *Result) (*Res
 	res.Timing = Breakdown{}
 	res.Degraded = false
 	res.Incremental = false
-	par.ForChunkCtx(res.Membership, n, workers, 0, func(mem []int32, lo, hi int) {
+	par.ForChunkCtx(res.Membership, n, workers, 0, func(mem []int32, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			mem[i] = int32(i)
 		}

@@ -12,7 +12,7 @@ import (
 // re-slices every array to the phase's vertex count, growing backing storage
 // only past the high-water mark, so a warmed Engine runs phases without
 // allocating. Loop bodies receive the state as an explicit pointer context
-// (par.ForChunkWorkerCtx et al.) instead of capturing it, which keeps the
+// (par.ForChunkCtx et al.) instead of capturing it, which keeps the
 // single-worker paths allocation-free.
 type phaseState struct {
 	g        *graph.Graph
@@ -120,7 +120,7 @@ func (st *phaseState) reset(g *graph.Graph, opts Options, nodeSize []int64, work
 	for w := 0; w < nw; w++ {
 		st.scratch[w].Grow(n)
 	}
-	par.ForChunkCtx(st, n, workers, 0, func(st *phaseState, lo, hi int) {
+	par.ForChunkCtx(st, n, workers, 0, func(st *phaseState, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			st.curr[i] = int32(i)
 			st.commDeg[i] = st.g.Degree(i)
@@ -169,7 +169,7 @@ func (st *phaseState) refreshAggregates(from []int32, workers int) {
 		return
 	}
 	st.refreshFrom = from
-	par.ForChunkCtx(st, n, workers, 0, func(st *phaseState, lo, hi int) {
+	par.ForChunkCtx(st, n, workers, 0, func(st *phaseState, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			st.commDeg[i] = 0
 			st.size[i] = 0
@@ -178,7 +178,7 @@ func (st *phaseState) refreshAggregates(from []int32, workers int) {
 			}
 		}
 	})
-	par.ForChunkCtx(st, n, workers, 0, func(st *phaseState, lo, hi int) {
+	par.ForChunkCtx(st, n, workers, 0, func(st *phaseState, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c := st.refreshFrom[i]
 			par.AddFloat64(&st.commDeg[c], st.g.Degree(i))
@@ -661,7 +661,7 @@ func (st *phaseState) sweepColored(sets [][]int32, workers int) {
 		// one set per chunk item; the slicing above stays serial (it is
 		// O(sets) pointer arithmetic).
 		st.prefixSets = sets
-		par.ForChunkCtx(st, len(sets), workers, 1, func(st *phaseState, lo, hi int) {
+		par.ForChunkCtx(st, len(sets), workers, 1, func(st *phaseState, _, lo, hi int) {
 			for si := lo; si < hi; si++ {
 				set := st.prefixSets[si]
 				prefix := st.colorPrefix[si]
@@ -697,7 +697,7 @@ func (st *phaseState) sweepColored(sets [][]int32, workers int) {
 		set := sets[si]
 		st.curSet = set
 		if st.arcEvenSets {
-			par.ForChunkWorkerCtx(st, len(set), workers, 0, sweepColoredSet)
+			par.ForChunkCtx(st, len(set), workers, 0, sweepColoredSet)
 		} else {
 			par.ForChunkPrefixCtx(st, st.colorPrefix[si], workers, sweepColoredSet)
 		}
@@ -789,12 +789,12 @@ func (st *phaseState) cpmScore(workers int) float64 {
 	})
 	ns := par.Resize(st.aggI, n)
 	st.aggI = ns
-	par.ForChunkCtx(st, n, workers, 0, func(st *phaseState, lo, hi int) {
+	par.ForChunkCtx(st, n, workers, 0, func(st *phaseState, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			st.aggI[i] = 0
 		}
 	})
-	par.ForChunkCtx(st, n, workers, 0, func(st *phaseState, lo, hi int) {
+	par.ForChunkCtx(st, n, workers, 0, func(st *phaseState, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			atomicAdd64(&st.aggI[st.curr[i]], st.nodeSize[i])
 		}
@@ -828,12 +828,12 @@ func (st *phaseState) modularity(workers int) float64 {
 	// a_C from curr (into the pooled, zeroed buffer), then Σ (a_C / 2m)².
 	deg := par.Resize(st.aggF, n)
 	st.aggF = deg
-	par.ForChunkCtx(st, n, workers, 0, func(st *phaseState, lo, hi int) {
+	par.ForChunkCtx(st, n, workers, 0, func(st *phaseState, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			st.aggF[i] = 0
 		}
 	})
-	par.ForChunkCtx(st, n, workers, 0, func(st *phaseState, lo, hi int) {
+	par.ForChunkCtx(st, n, workers, 0, func(st *phaseState, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			par.AddFloat64(&st.aggF[st.curr[i]], st.g.Degree(i))
 		}

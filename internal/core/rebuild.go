@@ -15,7 +15,7 @@ func atomicLoad32(cell *int32) int32     { return atomic.LoadInt32(cell) }
 func atomicStore32(cell *int32, v int32) { atomic.StoreInt32(cell, v) }
 
 // renumberCtx carries the renumbering arrays into the captureless loop bodies
-// (see par.ForChunkWorkerCtx for why closures are avoided on pooled paths).
+// (see par.ForChunkCtx for why closures are avoided on pooled paths).
 type renumberCtx struct {
 	comm     []int32
 	occupied []int64
@@ -33,12 +33,12 @@ type renumberCtx struct {
 func renumberParallelInto(out []int32, occupied []int64, comm []int32, workers int) {
 	n := len(comm)
 	ctx := renumberCtx{comm: comm, occupied: occupied, out: out}
-	par.ForChunkCtx(ctx, n+1, workers, 0, func(c renumberCtx, lo, hi int) {
+	par.ForChunkCtx(ctx, n+1, workers, 0, func(c renumberCtx, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c.occupied[i] = 0
 		}
 	})
-	par.ForChunkCtx(ctx, n, workers, 0, func(c renumberCtx, lo, hi int) {
+	par.ForChunkCtx(ctx, n, workers, 0, func(c renumberCtx, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			// Plain stores race benignly only in C; use atomic store of the
 			// same value to stay well-defined (any winner writes 1).
@@ -48,7 +48,7 @@ func renumberParallelInto(out []int32, occupied []int64, comm []int32, workers i
 	par.ExclusivePrefixSum(occupied[:n+1], workers)
 	// occupied[c] now holds the dense id of community c (valid where the
 	// original flag was 1, i.e. occupied[c+1] == occupied[c]+1).
-	par.ForChunkCtx(ctx, n, workers, 0, func(c renumberCtx, lo, hi int) {
+	par.ForChunkCtx(ctx, n, workers, 0, func(c renumberCtx, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c.out[i] = int32(c.occupied[c.comm[i]])
 		}
@@ -157,12 +157,12 @@ func rebuildInto(rb *rebuildScratch, slot *graphSlot, g *graph.Graph, membership
 	counts := par.Resize(rb.counts, numComm+1)
 	rb.counts = counts
 	ctx.starts = counts
-	par.ForChunkCtx(ctx, numComm+1, workers, 0, func(c *rebuildCtx, lo, hi int) {
+	par.ForChunkCtx(ctx, numComm+1, workers, 0, func(c *rebuildCtx, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c.starts[i] = 0
 		}
 	})
-	par.ForChunkCtx(ctx, n, workers, 0, func(c *rebuildCtx, lo, hi int) {
+	par.ForChunkCtx(ctx, n, workers, 0, func(c *rebuildCtx, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			atomicAdd64(&c.starts[c.membership[i]], 1)
 		}
@@ -175,7 +175,7 @@ func rebuildInto(rb *rebuildScratch, slot *graphSlot, g *graph.Graph, membership
 	members := par.Resize(rb.members, n)
 	rb.members = members
 	ctx.cursor, ctx.members = cursor, members
-	par.ForChunkCtx(ctx, n, workers, 0, func(c *rebuildCtx, lo, hi int) {
+	par.ForChunkCtx(ctx, n, workers, 0, func(c *rebuildCtx, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			pos := atomicAdd64(&c.cursor[c.membership[i]], 1) - 1
 			c.members[pos] = int32(i)
@@ -243,7 +243,7 @@ func rebuildInto(rb *rebuildScratch, slot *graphSlot, g *graph.Graph, membership
 	adj := par.Resize(slot.adj, int(totalArcs))
 	weights := par.Resize(slot.weights, int(totalArcs))
 	ctx.offsets, ctx.adj, ctx.weights = offsets, adj, weights
-	par.ForChunkCtx(ctx, numComm, workers, 0, func(ct *rebuildCtx, lo, hi int) {
+	par.ForChunkCtx(ctx, numComm, workers, 0, func(ct *rebuildCtx, _, lo, hi int) {
 		for c := lo; c < hi; c++ {
 			cnt := ct.offsets[c+1] - ct.offsets[c]
 			ar := &ct.arenas[ct.rowWk[c]]

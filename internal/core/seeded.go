@@ -24,12 +24,16 @@ import (
 // must lie in [0, g.N()); the final membership — drawn from seed's label
 // set, pinned entries unchanged — is written into out (length g.N()).
 // Returns the iteration count and the final modularity of the assignment on
-// g. Only the modularity objective is supported.
+// g. Only the modularity objective is supported, and a graph whose total
+// weight is not finite is rejected with an error wrapping graph.ErrBadWeight.
 //
 // The sweep shares the engine's pooled phase scratch: a warmed engine
 // re-sweeping a same-shaped graph allocates nothing. Like Run, SweepSeeded
 // must not be called concurrently with any other run on the same engine.
 func (e *Engine) SweepSeeded(ctx context.Context, g *graph.Graph, seed []int32, own int, out []int32) (int, float64, error) {
+	if err := g.CheckWeight(); err != nil {
+		return 0, 0, err
+	}
 	n := g.N()
 	if e.opts.Objective == ObjCPM {
 		return 0, 0, fmt.Errorf("core: SweepSeeded supports the modularity objective only")

@@ -6,7 +6,7 @@ import (
 )
 
 // vfCtx carries the vertex-following state into the captureless loop bodies
-// (pointer-passed; see par.ForChunkWorkerCtx).
+// (pointer-passed; see par.ForChunkCtx).
 type vfCtx struct {
 	g         *graph.Graph
 	parent    []int32
@@ -15,7 +15,7 @@ type vfCtx struct {
 	chainMode bool
 }
 
-func vfScan(c *vfCtx, lo, hi int) {
+func vfScan(c *vfCtx, _, lo, hi int) {
 	local := int64(0)
 	for i := lo; i < hi; i++ {
 		c.parent[i] = int32(i)
@@ -47,7 +47,7 @@ func vfScan(c *vfCtx, lo, hi int) {
 	atomicAdd64(c.merged, local)
 }
 
-func vfBreakPairs(c *vfCtx, lo, hi int) {
+func vfBreakPairs(c *vfCtx, _, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		p := c.parent[i]
 		if p != int32(i) && c.parent[p] == int32(i) && p > int32(i) {
@@ -56,7 +56,7 @@ func vfBreakPairs(c *vfCtx, lo, hi int) {
 	}
 }
 
-func vfContract(c *vfCtx, lo, hi int) {
+func vfContract(c *vfCtx, _, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		p := atomicLoad32(&c.parent[i])
 		for {

@@ -179,7 +179,7 @@ func (g *Graph) finish(p int) {
 	atomic.StoreUint64(&g.strongHash, 0)
 	g.degree = par.Resize(g.degree, n)
 	g.loops = 0
-	par.ForChunkCtx(g, n, p, 0, func(g *Graph, lo, hi int) {
+	par.ForChunkCtx(g, n, p, 0, func(g *Graph, _, lo, hi int) {
 		var chunkLoops int64
 		for i := lo; i < hi; i++ {
 			nbr, w := g.Neighbors(i)

@@ -70,6 +70,17 @@ func (g *Graph) ArcOffsets() []int64 { return g.offsets }
 // TotalWeight returns Σ_i k_i = 2m.
 func (g *Graph) TotalWeight() float64 { return g.totalW }
 
+// CheckWeight returns an error wrapping ErrBadWeight when the total weight
+// is NaN or infinite: one NaN or +Inf edge (which the Builder and FromEdges
+// store as given) poisons every modularity gain, so a detection's
+// iteration loop could never converge. It is O(1) on the cached total.
+func (g *Graph) CheckWeight() error {
+	if math.IsNaN(g.totalW) || math.IsInf(g.totalW, 0) {
+		return fmt.Errorf("%w: total edge weight is %v", ErrBadWeight, g.totalW)
+	}
+	return nil
+}
+
 // M returns m, the sum of all edge weights as defined in the paper
 // (m = ½ Σ_i k_i).
 func (g *Graph) M() float64 { return g.totalW / 2 }

@@ -200,6 +200,9 @@ func WriteMETIS(w io.Writer, g *Graph) error {
 
 const binMagic = uint64(0x47524150504f4c4f) // "GRAPPOLO"
 
+// binHeaderBytes is the binary format's header: magic, n, arc count.
+const binHeaderBytes = 24
+
 // WriteBinary serializes the graph in a compact little-endian binary format
 // (magic, n, arc count, offsets, adj, weights).
 func WriteBinary(w io.Writer, g *Graph) error {
@@ -222,8 +225,12 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadBinary deserializes a graph written by WriteBinary.
-func ReadBinary(r io.Reader, p int) (*Graph, error) {
+// ReadBinary deserializes a graph written by WriteBinary from a stream of
+// size bytes. The header's vertex and arc counts are checked before
+// anything is allocated: n must fit the int32 vertex ids, and the counts
+// must describe exactly size bytes, so a corrupt or hostile header fails
+// with an error instead of a huge allocation.
+func ReadBinary(r io.Reader, size int64, p int) (*Graph, error) {
 	br := bufio.NewReader(r)
 	var magic, n, arcs uint64
 	for _, dst := range []*uint64{&magic, &n, &arcs} {
@@ -233,6 +240,15 @@ func ReadBinary(r io.Reader, p int) (*Graph, error) {
 	}
 	if magic != binMagic {
 		return nil, fmt.Errorf("graph: bad magic %#x", magic)
+	}
+	if n >= 1<<31 {
+		return nil, fmt.Errorf("graph: binary header: %d vertices exceed int32 vertex ids", n)
+	}
+	// Header, then 8 bytes per offset (n+1) and 4+8 per arc. Bounding arcs
+	// by the body first keeps 12·arcs from overflowing.
+	body := uint64(max(size-binHeaderBytes, 0))
+	if arcs > body/12 || 8*(n+1)+12*arcs != body {
+		return nil, fmt.Errorf("graph: binary header: %d vertices and %d arcs do not match a %d-byte stream", n, arcs, size)
 	}
 	offsets := make([]int64, n+1)
 	adj := make([]int32, arcs)
@@ -261,7 +277,16 @@ func LoadFile(path string, p int) (*Graph, error) {
 	case strings.HasSuffix(path, ".graph") || strings.HasSuffix(path, ".metis"):
 		return ReadMETIS(f, p)
 	case strings.HasSuffix(path, ".bin"):
-		return ReadBinary(f, p)
+		// The size bounds the header's counts (see ReadBinary). Seeking
+		// measures it without allocating.
+		size, err := f.Seek(0, io.SeekEnd)
+		if err == nil {
+			_, err = f.Seek(0, io.SeekStart)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return ReadBinary(f, size, p)
 	default:
 		return ReadEdgeList(f, p)
 	}

@@ -185,7 +185,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := WriteBinary(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadBinary(&buf, 2)
+	g2, err := ReadBinary(&buf, int64(buf.Len()), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,10 +193,10 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestBinaryBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader(make([]byte, 24)), 1); err == nil {
+	if _, err := ReadBinary(bytes.NewReader(make([]byte, 24)), 24, 1); err == nil {
 		t.Fatal("want error for bad magic")
 	}
-	if _, err := ReadBinary(bytes.NewReader(nil), 1); err == nil {
+	if _, err := ReadBinary(bytes.NewReader(nil), 0, 1); err == nil {
 		t.Fatal("want error for empty input")
 	}
 }

@@ -87,7 +87,7 @@ func (g *Graph) SetLayout(l Layout, p int) {
 // buildArcs (re)fills the packed arc array from the split CSR.
 func (g *Graph) buildArcs(p int) {
 	g.arcs = par.Resize(g.arcs, len(g.adj))
-	par.ForChunkCtx(g, len(g.adj), p, 0, func(g *Graph, lo, hi int) {
+	par.ForChunkCtx(g, len(g.adj), p, 0, func(g *Graph, _, lo, hi int) {
 		for t := lo; t < hi; t++ {
 			g.arcs[t] = Arc{Nbr: g.adj[t], W: g.weights[t]}
 		}

@@ -3,6 +3,20 @@
 // "#pragma omp parallel for"), parallel reductions, parallel prefix sums,
 // and lock-free atomic accumulators.
 //
+// Every parallel loop runs through one fork-join dispatcher (loop.run): p
+// workers claim chunk indices from one shared cursor until the range is
+// exhausted, with an optional barrier between stages. The schedules differ
+// only in how they cut a range into chunks:
+//
+//   - count (ForChunkCtx): fixed-size chunks of grain items, OpenMP's
+//     "schedule(dynamic, grain)";
+//   - prefix (ForChunkPrefixCtx): chunk bounds balanced by cumulative item
+//     weight;
+//   - static (ForStaticCtx): one contiguous slab per worker, OpenMP's
+//     "schedule(static)", with the slab index passed to the body;
+//   - staged (ForStagesCtx): a sequence of count-cut stages separated by
+//     barriers.
+//
 // All functions take an explicit worker count so that callers (and the
 // benchmark harness reproducing the paper's thread sweeps) control the
 // degree of parallelism precisely rather than relying on GOMAXPROCS.
@@ -34,6 +48,153 @@ func normWorkers(p, n int) int {
 	return p
 }
 
+// Workers returns the effective worker count a loop over n items will use
+// for a requested parallelism p: p clamped to [1, n] with the default
+// substituted for p <= 0. The index a loop body receives is always below
+// it: the claiming worker for ForChunkCtx, ForChunkPrefixCtx and
+// ForStagesCtx (n being the largest stage), the slab for ForStaticCtx.
+// Callers sizing per-worker state (scratch pools or partial results indexed
+// by that argument) should allocate exactly this many slots.
+func Workers(p, n int) int { return normWorkers(p, n) }
+
+// cut names how a loop's range is split into chunks, the one thing that
+// differs between the schedules.
+type cut uint8
+
+const (
+	cutCount  cut = iota // chunks of grain items
+	cutPrefix            // min(p*8, n) chunks balanced by prefix weight
+	cutStatic            // p slabs; the body gets the slab index
+)
+
+// loop is one fork-join: p workers claim chunk indices of the open stage
+// from next, and the last worker to finish a stage opens the following one.
+// Plain loops are one stage of n items; ForStagesCtx sets count, staged and
+// stages instead.
+type loop[C any] struct {
+	ctx    C
+	body   func(ctx C, worker, lo, hi int)
+	staged func(ctx C, stage, worker, lo, hi int)
+	count  func(ctx C, stage int) int
+	stages int
+	cut    cut
+	n      int
+	grain  int // cutCount chunk size; <= 0 selects n/(p*8)
+	prefix []int64
+	p      int
+
+	next    atomic.Int64 // next chunk index of the open stage
+	arrived atomic.Int32 // workers done with the open stage
+	release atomic.Int32 // index of the open stage
+	wg      sync.WaitGroup
+}
+
+// run forks l.p workers and joins them. It holds the package's only go
+// statement: every parallel loop is dispatched from here.
+func (l *loop[C]) run() {
+	l.wg.Add(l.p)
+	for w := 0; w < l.p; w++ {
+		go l.work(w)
+	}
+	l.wg.Wait()
+}
+
+// work is worker w's share of the loop. Between stages it arrives at a
+// barrier in epoch form: the last arriver rearms the cursor and then
+// advances release, which the others spin on (yielding to the scheduler
+// between polls, so oversubscribed hosts make progress). The cursor reset is
+// ordered before the release, so no worker claims stage s+1 work against a
+// stale cursor.
+func (l *loop[C]) work(w int) {
+	defer l.wg.Done()
+	for s := 0; s < l.stages; s++ {
+		for l.release.Load() < int32(s) {
+			runtime.Gosched()
+		}
+		n, grain, chunks := l.plan(s)
+		for {
+			c := int(l.next.Add(1)) - 1
+			if c >= chunks {
+				break
+			}
+			lo, hi := l.span(c, n, grain, chunks)
+			if lo >= hi {
+				continue
+			}
+			idx := w
+			if l.cut == cutStatic {
+				idx = c
+			}
+			if l.staged != nil {
+				l.staged(l.ctx, s, idx, lo, hi)
+			} else {
+				l.body(l.ctx, idx, lo, hi)
+			}
+		}
+		if s+1 < l.stages && int(l.arrived.Add(1)) == l.p {
+			l.arrived.Store(0)
+			l.next.Store(0)
+			l.release.Add(1)
+		}
+	}
+}
+
+// plan returns stage s's item count, chunk size (cutCount only) and chunk
+// count.
+func (l *loop[C]) plan(s int) (n, grain, chunks int) {
+	n = l.n
+	if l.count != nil {
+		n = l.count(l.ctx, s)
+	}
+	switch l.cut {
+	case cutPrefix:
+		return n, 0, min(l.p*8, n)
+	case cutStatic:
+		return n, 0, l.p
+	}
+	grain = l.grain
+	if grain <= 0 {
+		grain = max(n/(l.p*8), 1)
+	}
+	return n, grain, (n + grain - 1) / grain
+}
+
+// span returns chunk c's item range [lo, hi), which may be empty.
+func (l *loop[C]) span(c, n, grain, chunks int) (lo, hi int) {
+	switch l.cut {
+	case cutPrefix:
+		return l.bound(c, n, chunks), l.bound(c+1, n, chunks)
+	case cutStatic:
+		return c * n / l.p, (c + 1) * n / l.p
+	}
+	lo = c * grain
+	return lo, min(lo+grain, n)
+}
+
+// bound is the start of prefix chunk c: the smallest i with
+// prefix[i]-prefix[0] >= c·total/chunks. Zero-weight runs collapse into one
+// boundary, possibly leaving empty chunks.
+func (l *loop[C]) bound(c, n, chunks int) int {
+	if c <= 0 {
+		return 0
+	}
+	if c >= chunks {
+		return n
+	}
+	total := l.prefix[n] - l.prefix[0]
+	target := l.prefix[0] + int64(c)*total/int64(chunks)
+	lo, hi := 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if l.prefix[mid] < target {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // ForChunk runs body(lo, hi) over disjoint chunks covering [0, n) using p
 // workers. Chunks are claimed from a shared atomic cursor, mirroring
 // OpenMP's "schedule(dynamic, grain)", which the paper's irregular sweeps
@@ -42,21 +203,15 @@ func normWorkers(p, n int) int {
 // yields roughly 8 chunks per worker, a reasonable balance between
 // scheduling overhead and load balance for skewed work.
 func ForChunk(n, p, grain int, body func(lo, hi int)) {
-	ForChunkCtx(body, n, p, grain, func(b func(lo, hi int), lo, hi int) { b(lo, hi) })
+	ForChunkCtx(body, n, p, grain, func(b func(lo, hi int), _, lo, hi int) { b(lo, hi) })
 }
 
-// Workers returns the effective worker count a loop over n items will use
-// for a requested parallelism p: p clamped to [1, n] with the default
-// substituted for p <= 0. Callers sizing per-worker state (scratch pools
-// indexed by the worker argument of ForChunkWorkerCtx / ForChunkPrefix /
-// ForStatic) should allocate exactly this many slots.
-func Workers(p, n int) int { return normWorkers(p, n) }
-
-// ForChunkWorkerCtx is ForChunk with the claiming worker's index (in
-// [0, Workers(p, n))) passed to the body, so callers can reuse per-worker
-// scratch state (e.g. a SparseAccum per worker) across chunks instead of
-// allocating per chunk; chunks are still dynamically scheduled, and the
-// worker index only identifies the goroutine, not a static range.
+// ForChunkCtx is ForChunk with an explicit context value and the claiming
+// worker's index (in [0, Workers(p, n))) passed to the body, so callers can
+// reuse per-worker scratch state (e.g. a SparseAccum per worker) across
+// chunks instead of allocating per chunk. Chunks are still dynamically
+// scheduled: the worker index only identifies the goroutine, not a static
+// range.
 //
 // The context value ctx is threaded into the body instead of captured by
 // it. A CAPTURELESS body literal is a static function value, so — unlike
@@ -64,8 +219,9 @@ func Workers(p, n int) int { return normWorkers(p, n) }
 // goroutines and therefore heap-allocates the capturing closure at every
 // call site — a single-worker call allocates nothing. The pooled-engine hot
 // loops use these ...Ctx forms so a warmed Engine.Run is allocation-free
-// end to end.
-func ForChunkWorkerCtx[C any](ctx C, n, p, grain int, body func(ctx C, worker, lo, hi int)) {
+// end to end. Each ...Ctx form returns early for one effective worker,
+// before the dispatcher's state exists.
+func ForChunkCtx[C any](ctx C, n, p, grain int, body func(ctx C, worker, lo, hi int)) {
 	p = normWorkers(p, n)
 	if n == 0 {
 		return
@@ -74,78 +230,7 @@ func ForChunkWorkerCtx[C any](ctx C, n, p, grain int, body func(ctx C, worker, l
 		body(ctx, 0, 0, n)
 		return
 	}
-	if grain <= 0 {
-		grain = n / (p * 8)
-		if grain < 1 {
-			grain = 1
-		}
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		// grain is passed as an argument, not captured: a reassigned variable
-		// is captured by reference, and a by-reference capture in the
-		// goroutine closure would heap-box it in the prologue even when the
-		// single-worker path returns early.
-		go func(w, grain int) {
-			defer wg.Done()
-			for {
-				lo := int(cursor.Add(int64(grain))) - grain
-				if lo >= n {
-					return
-				}
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				body(ctx, w, lo, hi)
-			}
-		}(w, grain)
-	}
-	wg.Wait()
-}
-
-// ForChunkCtx is ForChunk with an explicit context value (see
-// ForChunkWorkerCtx for why: captureless bodies make single-worker calls
-// allocation-free). It duplicates the loop rather than adapting through
-// ForChunkWorkerCtx: a generic adapter closure needs the instantiation
-// dictionary and would itself allocate per call.
-func ForChunkCtx[C any](ctx C, n, p, grain int, body func(ctx C, lo, hi int)) {
-	p = normWorkers(p, n)
-	if n == 0 {
-		return
-	}
-	if p == 1 {
-		body(ctx, 0, n)
-		return
-	}
-	if grain <= 0 {
-		grain = n / (p * 8)
-		if grain < 1 {
-			grain = 1
-		}
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func(grain int) {
-			defer wg.Done()
-			for {
-				lo := int(cursor.Add(int64(grain))) - grain
-				if lo >= n {
-					return
-				}
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				body(ctx, lo, hi)
-			}
-		}(grain)
-	}
-	wg.Wait()
+	(&loop[C]{ctx: ctx, body: body, stages: 1, n: n, grain: grain, p: p}).run()
 }
 
 // ForChunkPrefix runs body(worker, lo, hi) over disjoint chunks covering
@@ -163,7 +248,7 @@ func ForChunkPrefix(prefix []int64, p int, body func(worker, lo, hi int)) {
 }
 
 // ForChunkPrefixCtx is ForChunkPrefix with an explicit context value (see
-// ForChunkWorkerCtx for why: captureless bodies make single-worker calls
+// ForChunkCtx for why: captureless bodies make single-worker calls
 // allocation-free).
 func ForChunkPrefixCtx[C any](ctx C, prefix []int64, p int, body func(ctx C, worker, lo, hi int)) {
 	n := len(prefix) - 1
@@ -171,71 +256,28 @@ func ForChunkPrefixCtx[C any](ctx C, prefix []int64, p int, body func(ctx C, wor
 		return
 	}
 	p = normWorkers(p, n)
-	total := prefix[n] - prefix[0]
-	if p == 1 || total <= 0 {
+	if p == 1 || prefix[n] <= prefix[0] {
 		body(ctx, 0, 0, n)
 		return
 	}
-	chunks := p * 8
-	if chunks > n {
-		chunks = n
-	}
-	bound := func(c int) int {
-		if c <= 0 {
-			return 0
-		}
-		if c >= chunks {
-			return n
-		}
-		// Smallest i with prefix[i]-prefix[0] >= c·total/chunks: zero-weight
-		// runs collapse into one boundary, possibly leaving empty chunks.
-		target := prefix[0] + int64(c)*total/int64(chunks)
-		lo, hi := 0, n
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if prefix[mid] < target {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				c := int(cursor.Add(1)) - 1
-				if c >= chunks {
-					return
-				}
-				lo, hi := bound(c), bound(c+1)
-				if lo < hi {
-					body(ctx, w, lo, hi)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	(&loop[C]{ctx: ctx, body: body, stages: 1, cut: cutPrefix, n: n, prefix: prefix, p: p}).run()
 }
 
-// ForStatic runs body(worker, lo, hi) over p contiguous slabs of [0, n),
-// one slab per worker (OpenMP "schedule(static)"). Use when per-item cost is
-// uniform or when per-worker state (e.g. thread-local accumulators indexed
-// by worker id) is needed.
-func ForStatic(n, p int, body func(worker, lo, hi int)) {
-	ForStaticCtx(body, n, p, func(b func(worker, lo, hi int), w, lo, hi int) {
-		b(w, lo, hi)
+// ForStatic runs body(slab, lo, hi) over p contiguous slabs of [0, n), slab
+// c being [c·n/p, (c+1)·n/p) (OpenMP "schedule(static)"). Use when per-item
+// cost is uniform or when per-slab state (e.g. partial sums combined in slab
+// order, or one RNG stream per slab) is needed: the slab index, not the
+// claiming goroutine, is what the body receives, so the mapping from index to
+// range is fixed for a given p.
+func ForStatic(n, p int, body func(slab, lo, hi int)) {
+	ForStaticCtx(body, n, p, func(b func(slab, lo, hi int), c, lo, hi int) {
+		b(c, lo, hi)
 	})
 }
 
-// ForStaticCtx is ForStatic with an explicit context value (see
-// ForChunkWorkerCtx for why: captureless bodies make single-worker calls
-// allocation-free).
-func ForStaticCtx[C any](ctx C, n, p int, body func(ctx C, worker, lo, hi int)) {
+// ForStaticCtx is ForStatic with an explicit context value (see ForChunkCtx
+// for why: captureless bodies make single-worker calls allocation-free).
+func ForStaticCtx[C any](ctx C, n, p int, body func(ctx C, slab, lo, hi int)) {
 	p = normWorkers(p, n)
 	if n == 0 {
 		return
@@ -244,26 +286,14 @@ func ForStaticCtx[C any](ctx C, n, p int, body func(ctx C, worker, lo, hi int)) 
 		body(ctx, 0, 0, n)
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		lo := w * n / p
-		hi := (w + 1) * n / p
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			if lo < hi {
-				body(ctx, w, lo, hi)
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	(&loop[C]{ctx: ctx, body: body, stages: 1, cut: cutStatic, n: n, p: p}).run()
 }
 
 // SumFloat64Ctx computes the sum of f(ctx, i) over [0, n) in parallel with
-// a deterministic reduction order (per-worker partials combined in worker
+// a deterministic reduction order (per-slab partials combined in slab
 // order), so results are reproducible for a fixed p. The context value is
-// explicit (see ForChunkWorkerCtx for why: captureless bodies make
-// single-worker calls allocation-free).
+// explicit (see ForChunkCtx for why: captureless bodies make single-worker
+// calls allocation-free).
 func SumFloat64Ctx[C any](ctx C, n, p int, f func(ctx C, i int) float64) float64 {
 	p = normWorkers(p, n)
 	if p == 1 {
@@ -278,12 +308,12 @@ func SumFloat64Ctx[C any](ctx C, n, p int, f func(ctx C, i int) float64) float64
 	// (capturebody-enforced) reserves the Ctx helpers for captureless
 	// bodies. The allocation-free case is the p == 1 early return above.
 	partials := make([]float64, p)
-	ForStatic(n, p, func(w, lo, hi int) {
+	ForStatic(n, p, func(c, lo, hi int) {
 		s := 0.0
 		for i := lo; i < hi; i++ {
 			s += f(ctx, i)
 		}
-		partials[w] = s
+		partials[c] = s
 	})
 	total := 0.0
 	for _, s := range partials {
@@ -293,9 +323,8 @@ func SumFloat64Ctx[C any](ctx C, n, p int, f func(ctx C, i int) float64) float64
 }
 
 // MaxInt64Ctx computes the maximum of f(ctx, i) over [0, n) in parallel. It
-// returns 0 for n == 0. The context value is explicit (see
-// ForChunkWorkerCtx for why: captureless bodies make single-worker calls
-// allocation-free).
+// returns 0 for n == 0. The context value is explicit (see ForChunkCtx for
+// why: captureless bodies make single-worker calls allocation-free).
 func MaxInt64Ctx[C any](ctx C, n, p int, f func(ctx C, i int) int64) int64 {
 	if n == 0 {
 		return 0
@@ -311,14 +340,14 @@ func MaxInt64Ctx[C any](ctx C, n, p int, f func(ctx C, i int) int64) int64 {
 		return m
 	}
 	partials := make([]int64, p)
-	ForStatic(n, p, func(w, lo, hi int) {
+	ForStatic(n, p, func(c, lo, hi int) {
 		m := f(ctx, lo)
 		for i := lo + 1; i < hi; i++ {
 			if v := f(ctx, i); v > m {
 				m = v
 			}
 		}
-		partials[w] = m
+		partials[c] = m
 	})
 	m := partials[0]
 	for _, v := range partials[1:] {
@@ -347,19 +376,19 @@ func ExclusivePrefixSum(v []int64, p int) int64 {
 		return run
 	}
 	blockSums := make([]int64, p)
-	ForStatic(n, p, func(w, lo, hi int) {
+	ForStatic(n, p, func(c, lo, hi int) {
 		var s int64
 		for i := lo; i < hi; i++ {
 			s += v[i]
 		}
-		blockSums[w] = s
+		blockSums[c] = s
 	})
 	var run int64
-	for w := range blockSums {
-		blockSums[w], run = run, run+blockSums[w]
+	for c := range blockSums {
+		blockSums[c], run = run, run+blockSums[c]
 	}
-	ForStatic(n, p, func(w, lo, hi int) {
-		acc := blockSums[w]
+	ForStatic(n, p, func(c, lo, hi int) {
+		acc := blockSums[c]
 		for i := lo; i < hi; i++ {
 			v[i], acc = acc, acc+v[i]
 		}

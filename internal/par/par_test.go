@@ -7,18 +7,97 @@ import (
 	"testing/quick"
 )
 
+// coverCtx records how often loop bodies visited each item, and counts
+// bodies handed an index or range they should not have had.
+type coverCtx struct {
+	n, nw  int            // items per stage, Workers(p, n)
+	hits   []atomic.Int32 // one per item per covering stage
+	slabs  []atomic.Int32 // static schedule: runs per slab
+	prefix []int64
+	bad    atomic.Int32
+}
+
+func (c *coverCtx) visit(idx, lo, hi int) {
+	if idx < 0 || idx >= c.nw || lo < 0 || hi > len(c.hits) || lo >= hi {
+		c.bad.Add(1)
+		return
+	}
+	for i := lo; i < hi; i++ {
+		c.hits[i].Add(1)
+	}
+}
+
+// coverStages is the staged schedule's stage lengths: two stages of n items
+// with an empty stage between them.
+func coverStages(c *coverCtx, s int) int {
+	if s == 1 {
+		return 0
+	}
+	return c.n
+}
+
+// TestForCoversEveryIndexOnce runs every schedule over p ∈ {1,2,3,8} and
+// n ∈ {0,1,p−1,1000}. Each item must be visited exactly once, each body
+// index must be below Workers(p, n), and the static schedule must hand slab
+// c exactly the range [c·n/p, (c+1)·n/p) with c as its index, once.
 func TestForCoversEveryIndexOnce(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 8} {
-		for _, n := range []int{0, 1, 7, 1000} {
-			hits := make([]int32, n)
-			ForChunkCtx(hits, n, p, 0, func(hits []int32, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&hits[i], 1)
+	schedules := []struct {
+		name   string
+		stages int // covering stages; hits has stages·n items
+		run    func(c *coverCtx, p int)
+	}{
+		{"chunk", 1, func(c *coverCtx, p int) {
+			ForChunkCtx(c, c.n, p, 0, func(c *coverCtx, w, lo, hi int) { c.visit(w, lo, hi) })
+		}},
+		{"chunk/grain7", 1, func(c *coverCtx, p int) {
+			ForChunkCtx(c, c.n, p, 7, func(c *coverCtx, w, lo, hi int) { c.visit(w, lo, hi) })
+		}},
+		{"prefix", 1, func(c *coverCtx, p int) {
+			ForChunkPrefixCtx(c, c.prefix, p, func(c *coverCtx, w, lo, hi int) { c.visit(w, lo, hi) })
+		}},
+		{"static", 1, func(c *coverCtx, p int) {
+			ForStaticCtx(c, c.n, p, func(c *coverCtx, slab, lo, hi int) {
+				if slab < 0 || slab >= c.nw || lo != slab*c.n/c.nw || hi != (slab+1)*c.n/c.nw {
+					c.bad.Add(1)
+					return
 				}
+				c.slabs[slab].Add(1)
+				c.visit(slab, lo, hi)
 			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("p=%d n=%d: index %d hit %d times", p, n, i, h)
+		}},
+		{"stages", 2, func(c *coverCtx, p int) {
+			ForStagesCtx(c, 3, coverStages, p, func(c *coverCtx, s, w, lo, hi int) {
+				off := s / 2 * c.n
+				c.visit(w, off+lo, off+hi)
+			})
+		}},
+	}
+	for _, sc := range schedules {
+		for _, p := range []int{1, 2, 3, 8} {
+			for _, n := range []int{0, 1, p - 1, 1000} {
+				c := &coverCtx{n: n, nw: Workers(p, n)}
+				c.hits = make([]atomic.Int32, sc.stages*n)
+				c.slabs = make([]atomic.Int32, c.nw)
+				// Skewed weights with zero-weight runs (i%5 == 0).
+				c.prefix = make([]int64, n+1)
+				for i := 0; i < n; i++ {
+					c.prefix[i+1] = c.prefix[i] + int64(i%5)
+				}
+				sc.run(c, p)
+				if b := c.bad.Load(); b != 0 {
+					t.Fatalf("%s p=%d n=%d: %d bodies got a bad index or range", sc.name, p, n, b)
+				}
+				for i := range c.hits {
+					if h := c.hits[i].Load(); h != 1 {
+						t.Fatalf("%s p=%d n=%d: item %d visited %d times", sc.name, p, n, i, h)
+					}
+				}
+				if sc.name == "static" && n > 0 {
+					for s := range c.slabs {
+						if r := c.slabs[s].Load(); r != 1 {
+							t.Fatalf("static p=%d n=%d: slab %d ran %d times", p, n, s, r)
+						}
+					}
 				}
 			}
 		}
@@ -61,6 +140,52 @@ func TestForStaticSlabsArePartition(t *testing.T) {
 	for w, c := range workers {
 		if c != 1 {
 			t.Fatalf("worker %d ran %d slabs", w, c)
+		}
+	}
+}
+
+// allocCtx is the captureless bodies' state for the allocation gate.
+type allocCtx struct {
+	prefix []int64
+	sink   atomic.Int64
+}
+
+func allocChunk(c *allocCtx, _, lo, hi int)    { c.sink.Add(int64(hi - lo)) }
+func allocStage(c *allocCtx, _, _, lo, hi int) { c.sink.Add(int64(hi - lo)) }
+func allocStageLen(c *allocCtx, s int) int     { return (len(c.prefix) - 1) >> s }
+func allocItem(c *allocCtx, i int) float64     { return float64(i) }
+func allocItemInt(c *allocCtx, i int) int64    { return int64(i) }
+
+// TestLoopTwoWorkerAllocsBounded pins each schedule's allocations per call
+// at two workers, where every call forks and joins. The bounds are the
+// counts measured for the per-schedule goroutine loops the single
+// dispatcher replaced (amd64, go1.24), so dispatching through it must not
+// add per-call allocations. The one-worker paths are pinned at zero by
+// TestReductionsSingleWorkerFastPath and TestForStagesCtxSingleWorkerZeroAlloc.
+func TestLoopTwoWorkerAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const n = 1000
+	c := &allocCtx{prefix: make([]int64, n+1)}
+	for i := range c.prefix {
+		c.prefix[i] = int64(i)
+	}
+	cases := []struct {
+		name string
+		max  float64
+		run  func()
+	}{
+		{"ForChunkCtx", 6, func() { ForChunkCtx(c, n, 2, 0, allocChunk) }},
+		{"ForChunkPrefixCtx", 7, func() { ForChunkPrefixCtx(c, c.prefix, 2, allocChunk) }},
+		{"ForStaticCtx", 5, func() { ForStaticCtx(c, n, 2, allocChunk) }},
+		{"ForStagesCtx", 8, func() { ForStagesCtx(c, 3, allocStageLen, 2, allocStage) }},
+		{"SumFloat64Ctx", 7, func() { _ = SumFloat64Ctx(c, n, 2, allocItem) }},
+		{"MaxInt64Ctx", 7, func() { _ = MaxInt64Ctx(c, n, 2, allocItemInt) }},
+	}
+	for _, tc := range cases {
+		if got := testing.AllocsPerRun(100, tc.run); got > tc.max {
+			t.Errorf("%s at 2 workers: %v allocs per call, want <= %v", tc.name, got, tc.max)
 		}
 	}
 }
@@ -163,7 +288,7 @@ func TestExclusivePrefixSumProperty(t *testing.T) {
 func TestAtomicFloat64Concurrent(t *testing.T) {
 	var a Float64
 	const workers, adds = 8, 10000
-	ForChunkCtx(&a, workers*adds, workers, 0, func(a *Float64, lo, hi int) {
+	ForChunkCtx(&a, workers*adds, workers, 0, func(a *Float64, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			a.Add(0.5)
 		}
@@ -181,7 +306,7 @@ func TestAtomicFloat64Concurrent(t *testing.T) {
 func TestAddFloat64DenseArrayConcurrent(t *testing.T) {
 	cells := make([]float64, 16)
 	const total = 64000
-	ForChunkCtx(cells, total, 8, 0, func(cells []float64, lo, hi int) {
+	ForChunkCtx(cells, total, 8, 0, func(cells []float64, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			AddFloat64(&cells[i%16], 1)
 		}

@@ -271,7 +271,7 @@ func Run(ctx context.Context, g *graph.Graph, opts Options, src Engines) (*Resul
 		return nil, err
 	}
 	fold := foldCtx{out: res.Membership, dense: dense, master: mres.Membership}
-	par.ForChunkCtx(&fold, n, opts.Workers, 0, func(c *foldCtx, lo, hi int) {
+	par.ForChunkCtx(&fold, n, opts.Workers, 0, func(c *foldCtx, _, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			c.out[v] = c.master[c.dense[v]]
 		}

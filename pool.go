@@ -2,6 +2,7 @@ package grappolo
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -171,7 +172,7 @@ func (p *Pool) DetectInto(ctx context.Context, g *Graph, res *Result) (*Result, 
 	// counting it would misclassify a cold engine as the warmest fit.
 	if err == nil {
 		grown = g.N()
-	} else {
+	} else if !errors.Is(err, ErrBadEdgeWeight) {
 		p.canceled.Add(1)
 	}
 	return res, err

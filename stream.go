@@ -13,7 +13,10 @@ import (
 // number (NaN, ±Inf, zero or negative). A bad weight is rejected before it
 // can touch a graph — silently coercing it, as builders do for offline
 // input, would corrupt the modularity bookkeeping every later step builds
-// on, and a NaN or Inf weight keeps a detection from ever converging.
+// on, and a NaN or Inf weight keeps a detection from ever converging. A
+// graph built in memory with a NaN or +Inf weight (Builder and FromEdges
+// store such weights as given) is rejected with it by every detection entry
+// point — Detect, Pool, Batcher, Cache, Guard, Sharded — and by NewStream.
 var ErrBadEdgeWeight = dynamic.ErrBadWeight
 
 // Stream maintains communities under a live stream of edge insertions — the
@@ -72,7 +75,8 @@ func LocalRounds(n int) StreamOption {
 // detection. Detection options (the same Option values New accepts)
 // configure the full re-detection runs; stream options configure batching
 // and refresh policy. The incremental overlay maintains standard
-// modularity, so CPM and Async configurations are rejected.
+// modularity, so CPM and Async configurations are rejected, and so is a
+// seed whose total weight is not finite (ErrBadEdgeWeight).
 func NewStream(seed *Graph, detectOpts []Option, streamOpts ...StreamOption) (*Stream, error) {
 	o, err := buildOptions(detectOpts)
 	if err != nil {
@@ -83,6 +87,9 @@ func NewStream(seed *Graph, detectOpts []Option, streamOpts ...StreamOption) (*S
 	}
 	if o.Async {
 		return nil, fmt.Errorf("grappolo: streaming requires deterministic full runs; Async is not supported")
+	}
+	if err := seed.CheckWeight(); err != nil {
+		return nil, err
 	}
 	do := dynamic.Options{Workers: o.Workers, Full: o.Defaults()}
 	for _, so := range streamOpts {
