@@ -1,6 +1,7 @@
 package grappolo_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -14,6 +15,7 @@ import (
 	"grappolo/internal/analysis"
 	"grappolo/internal/core"
 	"grappolo/internal/generate"
+	"grappolo/internal/graph"
 )
 
 // publicConfigs pairs a public functional-options configuration with the
@@ -230,15 +232,30 @@ func TestExamplesUseOnlyPublicAPI(t *testing.T) {
 }
 
 // TestLoadGraphRejectsBadWeights pins the public loader's weight contract:
-// an edge-list or METIS file with a weight that is not a positive finite
-// number fails with an error matching ErrBadEdgeWeight, the sentinel the
-// streaming tier uses for the same inputs, instead of loading a graph that
-// detection can never converge on.
+// an edge-list, METIS or binary file with a weight that is not a positive
+// finite number fails with an error matching ErrBadEdgeWeight, the sentinel
+// the streaming tier uses for the same inputs, instead of loading a graph
+// that detection can never converge on.
 func TestLoadGraphRejectsBadWeights(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
 		"nan.txt":   "0 1 nan\n1 2 1\n",
 		"inf.graph": "2 1 1\n2 inf\n1 inf\n",
+	}
+	// The binary format stores the CSR as is, so the bad weight goes into an
+	// unchecked graph that WriteBinary serializes.
+	for name, w := range map[string]float64{
+		"nan.bin": math.NaN(), "inf.bin": math.Inf(1), "neginf.bin": math.Inf(-1), "zero.bin": 0, "neg.bin": -1,
+	} {
+		g, err := graph.FromCSR([]int64{0, 1, 2}, []int32{1, 0}, []float64{w, w}, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := graph.WriteBinary(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		files[name] = buf.String()
 	}
 	for name, body := range files {
 		path := filepath.Join(dir, name)

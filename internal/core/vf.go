@@ -47,11 +47,14 @@ func vfScan(c *vfCtx, _, lo, hi int) {
 	atomicAdd64(c.merged, local)
 }
 
+// vfBreakPairs makes the smaller vertex of each mutual pair its root. Only
+// i's worker writes parent[i], but p's worker may read it at the same time,
+// hence the atomics.
 func vfBreakPairs(c *vfCtx, _, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		p := c.parent[i]
-		if p != int32(i) && c.parent[p] == int32(i) && p > int32(i) {
-			c.parent[i] = int32(i)
+		if p != int32(i) && p > int32(i) && atomicLoad32(&c.parent[p]) == int32(i) {
+			atomicStore32(&c.parent[i], int32(i))
 		}
 	}
 }

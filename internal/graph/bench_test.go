@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"testing"
 
 	"grappolo/internal/par"
@@ -69,5 +70,44 @@ func BenchmarkConnectedComponents(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = ConnectedComponents(g)
+	}
+}
+
+// loadBenchGraph is the load benchmarks' input: 2^18 vertices and 2^20
+// random edges with fractional weights, about 2M arcs (a 25 MB binary file).
+func loadBenchGraph() *Graph {
+	const n = 1 << 18
+	edges := benchEdges(n, 4*n, 5)
+	rng := par.NewRNG(6)
+	for i := range edges {
+		edges[i].W = 0.5 + rng.Float64()
+	}
+	return FromEdges(n, edges, 0)
+}
+
+func BenchmarkValidate(b *testing.B) {
+	g := loadBenchGraph()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkReadBinary(b *testing.B) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, loadBenchGraph()); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadBinary(bytes.NewReader(data), int64(len(data)), 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -205,9 +205,10 @@ func (g *Graph) finish(p int) {
 }
 
 // FromCSR constructs a Graph directly from CSR arrays that are already
-// sorted, deduplicated and symmetric. It takes ownership of the slices.
-// Used by the coarsening step, which produces normalized rows by
-// construction. Set check to true to validate (tests).
+// sorted, deduplicated and symmetric. It takes ownership of the slices. The
+// coarsening step, which produces normalized rows by construction, passes
+// check=false; ReadBinary passes check=true, which runs Validate on p
+// workers at O(arcs · log maxdeg) cost.
 func FromCSR(offsets []int64, adj []int32, weights []float64, p int, check bool) (*Graph, error) {
 	return FromCSRInto(nil, offsets, adj, weights, p, check)
 }
@@ -224,10 +225,17 @@ func FromCSRInto(dst *Graph, offsets []int64, adj []int32, weights []float64, p 
 	if dst == nil {
 		dst = &Graph{}
 	}
+	if check {
+		// finish slices the rows by offsets, so a malformed offset array
+		// must fail before it runs.
+		if err := checkShape(offsets, adj, weights); err != nil {
+			return nil, fmt.Errorf("graph: invalid CSR input: %w", err)
+		}
+	}
 	dst.offsets, dst.adj, dst.weights = offsets, adj, weights
 	dst.finish(p)
 	if check {
-		if err := dst.Validate(); err != nil {
+		if err := dst.validate(p); err != nil {
 			return nil, fmt.Errorf("graph: invalid CSR input: %w", err)
 		}
 	}

@@ -95,3 +95,30 @@ func TestBinaryCorruptedAdjacencyCaughtByValidate(t *testing.T) {
 		t.Fatal("corrupted adjacency accepted (Validate should reject)")
 	}
 }
+
+// TestBinaryMalformedOffsetsRejected rewrites single offsets. Building the
+// graph slices rows by them, so each must fail as a load error before that:
+// a non-monotone offset used to panic with a slice-bounds error.
+func TestBinaryMalformedOffsetsRejected(t *testing.T) {
+	g := triangle(t)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		index int // offsets[index] is rewritten
+		value int64
+	}{
+		{"non-monotone", 1, 5},
+		{"negative", 1, -1},
+		{"nonzero start", 0, 1},
+		{"end past the arcs", 3, g.ArcCount() + 1},
+	} {
+		data := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint64(data[binHeaderBytes+8*tc.index:], uint64(tc.value))
+		if _, err := ReadBinary(bytes.NewReader(data), int64(len(data)), 2); err == nil {
+			t.Errorf("%s: malformed offsets accepted", tc.name)
+		}
+	}
+}

@@ -15,6 +15,10 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
+
+	"grappolo/internal/par"
 )
 
 // Graph is an immutable weighted undirected graph in CSR form.
@@ -136,51 +140,72 @@ func (g *Graph) EdgeWeight(i, j int) (float64, bool) {
 }
 
 // Validate checks structural invariants: offsets monotone, neighbor ids in
-// range, positive weights, and symmetry (every arc i→j with i≠j has a
-// matching j→i arc of equal weight). It is used by tests and after file
-// loads; algorithms assume a valid graph.
-func (g *Graph) Validate() error {
+// range, positive finite weights, no duplicate arcs, and symmetry (every
+// arc i→j with i≠j has a matching j→i arc of equal weight). It uses all
+// CPUs; the error it returns is the first failure in vertex order, the same
+// for any worker count. A weight failure wraps ErrBadWeight. It is used by
+// tests and after binary file loads; algorithms assume a valid graph.
+func (g *Graph) Validate() error { return g.validate(0) }
+
+// validate is Validate on p workers (p <= 0 selects all CPUs). The arc
+// checks cost O(arcs · log maxdeg): each edge is probed once, from its
+// upper arc i→j (j > i), by binary search in row j (by a linear scan if row
+// j is not strictly increasing). When every upper arc has
+// its match and the rows are duplicate-free, equal counts of arcs below and
+// above the diagonal mean every lower arc is the partner of an upper one, so
+// lower arcs need no probe. Any failure is replayed serially in the order of
+// a full per-arc check, which picks the error text.
+func (g *Graph) validate(p int) error {
+	if err := checkShape(g.offsets, g.adj, g.weights); err != nil {
+		return err
+	}
 	n := g.N()
-	if len(g.offsets) != n+1 || g.offsets[0] != 0 {
-		return fmt.Errorf("graph: bad offsets header")
-	}
-	for i := 0; i < n; i++ {
-		if g.offsets[i] > g.offsets[i+1] {
-			return fmt.Errorf("graph: offsets not monotone at %d", i)
+	c := &arcCheck{g: g, sorted: make([]bool, n), part: make([]arcPartial, par.Workers(p, n))}
+	c.bad.Store(int64(n))
+	par.ForChunkPrefixCtx(c, g.offsets, p, func(c *arcCheck, _, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			nbr, _ := c.g.Neighbors(i)
+			c.sorted[i] = increasing(nbr)
 		}
-	}
-	if g.offsets[n] != int64(len(g.adj)) || len(g.adj) != len(g.weights) {
-		return fmt.Errorf("graph: adjacency length mismatch")
-	}
-	var sum float64
-	for i := 0; i < n; i++ {
-		nbr, w := g.Neighbors(i)
-		seen := make(map[int32]struct{}, len(nbr))
-		for t, j := range nbr {
-			if j < 0 || int(j) >= n {
-				return fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", i, j)
+	})
+	par.ForChunkPrefixCtx(c, g.offsets, p, func(c *arcCheck, w, lo, hi int) {
+		var part arcPartial
+		var seen map[int32]struct{}
+		for i := lo; i < hi && int64(i) < c.bad.Load(); i++ {
+			if c.row(i, false, &part, &seen) != nil {
+				c.fail(i)
+				break
 			}
-			if w[t] <= 0 || math.IsNaN(w[t]) || math.IsInf(w[t], 0) {
-				return fmt.Errorf("graph: edge (%d,%d) has non-positive weight %v", i, j, w[t])
-			}
-			if _, dup := seen[j]; dup {
-				return fmt.Errorf("graph: duplicate arc %d->%d", i, j)
-			}
-			seen[j] = struct{}{}
-			if int(j) != i {
-				wj, ok := (&reverseProbe{g}).weight(int(j), i)
-				if !ok {
-					return fmt.Errorf("graph: missing reverse arc %d->%d", j, i)
-				}
-				if wj != w[t] {
-					return fmt.Errorf("graph: asymmetric weight on edge {%d,%d}: %v vs %v", i, j, w[t], wj)
-				}
-			}
-			sum += w[t]
 		}
+		c.part[w].add(part)
+	})
+	var total arcPartial
+	for _, part := range c.part {
+		total.add(part)
 	}
-	if math.Abs(sum-g.totalW) > 1e-6*(1+math.Abs(g.totalW)) {
-		return fmt.Errorf("graph: cached total weight %v != recomputed %v", g.totalW, sum)
+	if bad := int(c.bad.Load()); bad < n || total.lower != total.upper {
+		var part arcPartial
+		var seen map[int32]struct{}
+		for i := 0; i < min(bad+1, n); i++ {
+			if err := c.row(i, true, &part, &seen); err != nil {
+				return err
+			}
+		}
+		return fmt.Errorf("graph: %d arcs below the diagonal but %d above", total.lower, total.upper)
+	}
+	// The per-worker sums add in another order than a serial pass over the
+	// arcs, which moves the result by at most 2·arcs·2^-53·sum. Unless the
+	// sum passes with that much to spare, recompute it serially, so the
+	// verdict and the reported sum are the serial ones.
+	sum, tol := total.sum, 1e-6*(1+math.Abs(g.totalW))
+	if !(math.Abs(sum-g.totalW) <= tol-0x1p-51*float64(len(g.adj))*sum) {
+		sum = 0
+		for _, x := range g.weights {
+			sum += x
+		}
+		if math.Abs(sum-g.totalW) > tol {
+			return fmt.Errorf("graph: cached total weight %v != recomputed %v", g.totalW, sum)
+		}
 	}
 	switch g.layout {
 	case LayoutSplit:
@@ -203,9 +228,129 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-type reverseProbe struct{ g *Graph }
+// checkShape checks that offsets slice adj and weights into rows: it starts
+// at 0, never decreases and ends at the shared length of the arc arrays.
+func checkShape(offsets []int64, adj []int32, weights []float64) error {
+	if len(offsets) == 0 || offsets[0] != 0 {
+		return fmt.Errorf("graph: bad offsets header")
+	}
+	n := len(offsets) - 1
+	for i := 0; i < n; i++ {
+		if offsets[i] > offsets[i+1] {
+			return fmt.Errorf("graph: offsets not monotone at %d", i)
+		}
+	}
+	if offsets[n] != int64(len(adj)) || len(adj) != len(weights) {
+		return fmt.Errorf("graph: adjacency length mismatch")
+	}
+	return nil
+}
 
-func (r *reverseProbe) weight(i, j int) (float64, bool) { return r.g.EdgeWeight(i, j) }
+// arcCheck is the state validate shares across its workers.
+type arcCheck struct {
+	g      *Graph
+	sorted []bool       // row i's ids strictly increase, so it holds no duplicate
+	part   []arcPartial // per worker
+	bad    atomic.Int64 // lowest vertex whose row failed; n if none
+}
+
+// arcPartial accumulates the arcs one worker has checked.
+type arcPartial struct {
+	sum          float64
+	lower, upper int64 // arcs i→j with j < i and with j > i
+}
+
+func (a *arcPartial) add(b arcPartial) {
+	a.sum += b.sum
+	a.lower += b.lower
+	a.upper += b.upper
+}
+
+// fail lowers c.bad to i.
+func (c *arcCheck) fail(i int) {
+	for {
+		old := c.bad.Load()
+		if old <= int64(i) || c.bad.CompareAndSwap(old, int64(i)) {
+			return
+		}
+	}
+}
+
+// row checks vertex i's arcs in order and returns the first failure. Each
+// arc is checked for an in-range id, a valid weight, a duplicate (only in a
+// row that is not strictly increasing), and then, if j > i or lower is set,
+// for a reverse arc of equal weight. *seen is the duplicate set, allocated
+// on first use and reused across rows.
+func (c *arcCheck) row(i int, lower bool, part *arcPartial, seen *map[int32]struct{}) error {
+	nbr, w := c.g.Neighbors(i)
+	dedup := !c.sorted[i]
+	if dedup {
+		if *seen == nil {
+			*seen = make(map[int32]struct{}, len(nbr))
+		}
+		clear(*seen)
+	}
+	for t, j := range nbr {
+		if j < 0 || int(j) >= len(c.sorted) {
+			return fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", i, j)
+		}
+		if !ValidWeight(w[t]) {
+			return fmt.Errorf("%w: edge (%d,%d) has weight %v", ErrBadWeight, i, j, w[t])
+		}
+		if dedup {
+			if _, dup := (*seen)[j]; dup {
+				return fmt.Errorf("graph: duplicate arc %d->%d", i, j)
+			}
+			(*seen)[j] = struct{}{}
+		}
+		switch {
+		case int(j) < i:
+			part.lower++
+		case int(j) > i:
+			part.upper++
+		}
+		if int(j) > i || lower && int(j) < i {
+			wj, ok := c.probe(int(j), int32(i))
+			if !ok {
+				return fmt.Errorf("graph: missing reverse arc %d->%d", j, i)
+			}
+			if wj != w[t] {
+				return fmt.Errorf("graph: asymmetric weight on edge {%d,%d}: %v vs %v", i, j, w[t], wj)
+			}
+		}
+		part.sum += w[t]
+	}
+	return nil
+}
+
+// increasing reports whether ids strictly increase.
+func increasing(ids []int32) bool {
+	for t := 1; t < len(ids); t++ {
+		if ids[t] <= ids[t-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// probe returns the weight of the first arc j→i in row j, as EdgeWeight
+// does, by binary search when row j is strictly increasing.
+func (c *arcCheck) probe(j int, i int32) (float64, bool) {
+	nbr, w := c.g.Neighbors(j)
+	if c.sorted[j] {
+		t, ok := slices.BinarySearch(nbr, i)
+		if !ok {
+			return 0, false
+		}
+		return w[t], true
+	}
+	for t, v := range nbr {
+		if v == i {
+			return w[t], true
+		}
+	}
+	return 0, false
+}
 
 // Stats summarizes the unweighted degree distribution of a graph exactly as
 // Table 1 of the paper reports it: vertex count, edge count, and the

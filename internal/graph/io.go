@@ -10,13 +10,15 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // ErrBadWeight reports an edge weight that is not a positive finite number.
-// The text loaders and the incremental overlay reject NaN, ±Inf, zero and
-// negative weights with it: one NaN or Inf poisons every weighted degree
-// and the total weight, and the iteration loop of a detection on such a
-// graph never converges. Match with errors.Is.
+// The text loaders, Validate (and so the binary loader) and the incremental
+// overlay reject NaN, ±Inf, zero and negative weights with it: one NaN or
+// Inf poisons every weighted degree and the total weight, and the iteration
+// loop of a detection on such a graph never converges. Match with
+// errors.Is.
 var ErrBadWeight = errors.New("graph: edge weight must be a positive finite number")
 
 // ValidWeight reports whether w is a positive finite number. NaN fails
@@ -206,38 +208,36 @@ const binHeaderBytes = 24
 // WriteBinary serializes the graph in a compact little-endian binary format
 // (magic, n, arc count, offsets, adj, weights).
 func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	hdr := []uint64{binMagic, uint64(g.N()), uint64(len(g.adj))}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.offsets); err != nil {
+	var hdr [binHeaderBytes]byte
+	binary.LittleEndian.PutUint64(hdr[0:], binMagic)
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(g.N()))
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(g.adj)))
+	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.adj); err != nil {
+	if err := writeSection(w, g.offsets); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.weights); err != nil {
+	if err := writeSection(w, g.adj); err != nil {
 		return err
 	}
-	return bw.Flush()
+	return writeSection(w, g.weights)
 }
 
 // ReadBinary deserializes a graph written by WriteBinary from a stream of
 // size bytes. The header's vertex and arc counts are checked before
 // anything is allocated: n must fit the int32 vertex ids, and the counts
 // must describe exactly size bytes, so a corrupt or hostile header fails
-// with an error instead of a huge allocation.
+// with an error instead of a huge allocation. The graph is then checked
+// with Validate on p workers.
 func ReadBinary(r io.Reader, size int64, p int) (*Graph, error) {
-	br := bufio.NewReader(r)
-	var magic, n, arcs uint64
-	for _, dst := range []*uint64{&magic, &n, &arcs} {
-		if err := binary.Read(br, binary.LittleEndian, dst); err != nil {
-			return nil, fmt.Errorf("graph: binary header: %w", err)
-		}
+	var hdr [binHeaderBytes]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("graph: binary header: %w", err)
 	}
+	magic := binary.LittleEndian.Uint64(hdr[0:])
+	n := binary.LittleEndian.Uint64(hdr[8:])
+	arcs := binary.LittleEndian.Uint64(hdr[16:])
 	if magic != binMagic {
 		return nil, fmt.Errorf("graph: bad magic %#x", magic)
 	}
@@ -253,16 +253,44 @@ func ReadBinary(r io.Reader, size int64, p int) (*Graph, error) {
 	offsets := make([]int64, n+1)
 	adj := make([]int32, arcs)
 	weights := make([]float64, arcs)
-	if err := binary.Read(br, binary.LittleEndian, offsets); err != nil {
+	if err := readSection(r, offsets); err != nil {
 		return nil, fmt.Errorf("graph: binary offsets: %w", err)
 	}
-	if err := binary.Read(br, binary.LittleEndian, adj); err != nil {
+	if err := readSection(r, adj); err != nil {
 		return nil, fmt.Errorf("graph: binary adjacency: %w", err)
 	}
-	if err := binary.Read(br, binary.LittleEndian, weights); err != nil {
+	if err := readSection(r, weights); err != nil {
 		return nil, fmt.Errorf("graph: binary weights: %w", err)
 	}
 	return FromCSR(offsets, adj, weights, p, true)
+}
+
+// nativeLE reports a little-endian host, whose in-memory arrays already are
+// the binary format's sections. Elsewhere the sections go through
+// encoding/binary.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// sectionBytes views s's memory as bytes.
+func sectionBytes[T int64 | int32 | float64](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(s[0])))
+}
+
+// writeSection writes s in little-endian order.
+func writeSection[T int64 | int32 | float64](w io.Writer, s []T) error {
+	if !nativeLE {
+		return binary.Write(w, binary.LittleEndian, s)
+	}
+	_, err := w.Write(sectionBytes(s))
+	return err
+}
+
+// readSection fills s from little-endian bytes.
+func readSection[T int64 | int32 | float64](r io.Reader, s []T) error {
+	if !nativeLE {
+		return binary.Read(r, binary.LittleEndian, s)
+	}
+	_, err := io.ReadFull(r, sectionBytes(s))
+	return err
 }
 
 // LoadFile reads a graph from path, dispatching on extension: ".graph" or

@@ -2,12 +2,16 @@ package graph
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"grappolo/internal/par"
 )
 
 func TestEdgeListRoundTrip(t *testing.T) {
@@ -198,6 +202,44 @@ func TestBinaryBadMagic(t *testing.T) {
 	}
 	if _, err := ReadBinary(bytes.NewReader(nil), 0, 1); err == nil {
 		t.Fatal("want error for empty input")
+	}
+}
+
+// TestWriteBinaryMatchesEncodingBinary pins WriteBinary's bytes to what
+// encoding/binary produces for the same header and arrays, on the direct
+// path and on the encoding/binary path big-endian hosts take, and checks
+// that both read paths load those bytes back to the same graph.
+func TestWriteBinaryMatchesEncodingBinary(t *testing.T) {
+	rng := par.NewRNG(3)
+	edges := benchEdges(300, 1200, 5)
+	for i := range edges {
+		edges[i].W = 0.5 + rng.Float64()
+	}
+	g := FromEdges(300, edges, 2)
+	var ref bytes.Buffer
+	for _, v := range []any{binMagic, uint64(g.N()), uint64(g.ArcCount()), g.offsets, g.adj, g.weights} {
+		if err := binary.Write(&ref, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := sha256.Sum256(ref.Bytes())
+	defer func(native bool) { nativeLE = native }(nativeLE)
+	for _, native := range []bool{nativeLE, false} {
+		nativeLE = native
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		if got := sha256.Sum256(buf.Bytes()); got != want {
+			t.Fatalf("nativeLE=%v: WriteBinary sha256 %x, encoding/binary %x", native, got, want)
+		}
+		g2, err := ReadBinary(bytes.NewReader(ref.Bytes()), int64(ref.Len()), 2)
+		if err != nil {
+			t.Fatalf("nativeLE=%v: %v", native, err)
+		}
+		if g2.StrongHash() != g.StrongHash() {
+			t.Fatalf("nativeLE=%v: loaded graph differs from the written one", native)
+		}
 	}
 }
 

@@ -9,12 +9,12 @@ import (
 )
 
 // ErrBadEdgeWeight is returned by Stream.AddEdge, and by LoadGraph for an
-// edge-list or METIS file, when an edge weight is not a positive finite
-// number (NaN, ±Inf, zero or negative). A bad weight is rejected before it
-// can touch a graph — silently coercing it, as builders do for offline
-// input, would corrupt the modularity bookkeeping every later step builds
-// on, and a NaN or Inf weight keeps a detection from ever converging. A
-// graph built in memory with a NaN or +Inf weight (Builder and FromEdges
+// edge-list, METIS or binary file, when an edge weight is not a positive
+// finite number (NaN, ±Inf, zero or negative). A bad weight is rejected
+// before it can touch a graph — silently coercing it, as builders do for
+// offline input, would corrupt the modularity bookkeeping every later step
+// builds on, and a NaN or Inf weight keeps a detection from ever converging.
+// A graph built in memory with a NaN or +Inf weight (Builder and FromEdges
 // store such weights as given) is rejected with it by every detection entry
 // point — Detect, Pool, Batcher, Cache, Guard, Sharded — and by NewStream.
 var ErrBadEdgeWeight = dynamic.ErrBadWeight
