@@ -31,10 +31,7 @@ func TestBatcherWarmZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = b.DetectInto(ctx, g, res) // second warm pass settles the arenas
-	if err != nil {
-		t.Fatal(err)
-	}
+	// AllocsPerRun's uncounted warm-up call is the one recycling pass needed.
 	allocs := testing.AllocsPerRun(3, func() {
 		res, err = b.DetectInto(ctx, g, res)
 	})
@@ -59,14 +56,7 @@ func TestBatcherWarmZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ { // settle both arenas
-		if res, err = b.DetectInto(ctx, g, res); err != nil {
-			t.Fatal(err)
-		}
-		if res2, err = b.DetectInto(ctx, g2, res2); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// AllocsPerRun's uncounted warm-up call is the one recycling pass needed.
 	allocs = testing.AllocsPerRun(4, func() {
 		res, err = b.DetectInto(ctx, g, res)
 		if err != nil {

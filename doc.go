@@ -265,11 +265,13 @@
 //
 // core.Run is a thin wrapper over core.Engine, the reusable pipeline: an
 // Engine owns every mutable scratch buffer the run needs — the phase working
-// set and per-worker decide accumulators, the rebuild counting-sort buffers,
-// row accumulators and staging arenas, the renumbering and CPM node-size
-// buffers, the coloring scratch (worklists, flat markers, set storage via
-// coloring.Scratch), and one pooled coarse-graph slot per rebuild depth
-// (graph.FromCSRInto recycles the CSR arrays and Graph header in place).
+// set and per-worker accumulators (shared by the decide loop and the
+// rebuild's row aggregation, which never overlap), the rebuild
+// counting-sort buffers and per-worker row-count markers, the renumbering
+// and CPM node-size buffers, the coloring scratch (worklists, flat
+// markers, set storage via coloring.Scratch), and one pooled coarse-graph
+// slot per rebuild depth (graph.FromCSRInto recycles the CSR arrays and
+// Graph header in place).
 // Everything is sized by high-water mark and recycled across phases and
 // across Run calls, so the second run on a same-shaped graph performs zero
 // scratch allocations; Engine.RunInto additionally recycles the Result,

@@ -139,11 +139,14 @@ func decideLegacy(st *phaseState, i int, membership []int32, acc *par.SparseAccu
 	return best
 }
 
-// BenchmarkRebuild measures the coarsening step (§5.5, Fig. 9) with the
-// accumulator + arena + prefix-sum CSR stitching implementation.
+// BenchmarkRebuild measures the coarsening step (§5.5, Fig. 9): a counting
+// sort of members, a count pass sizing each row exactly, then a fill pass
+// aggregating each row on a flat accumulator straight into the CSR. Each
+// call uses throwaway scratch, so B/op is a cold rebuild's allocation.
 func BenchmarkRebuild(b *testing.B) {
 	g := generate.MustGenerate(generate.RGG, generate.ScaleFromEnv(), 0, 0)
 	res := Run(g, Options{MaxPhases: 1, Workers: 0}.Defaults())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = rebuild(g, res.Membership, res.NumCommunities, 0)
@@ -220,6 +223,7 @@ func BenchmarkSweepAsyncPLM(b *testing.B) {
 func BenchmarkRebuildParallel(b *testing.B) {
 	g := generate.MustGenerate(generate.RGG, generate.Medium, 0, 0)
 	res := Run(g, Options{MaxPhases: 1, Workers: 0}.Defaults())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = rebuild(g, res.Membership, res.NumCommunities, 0)
@@ -228,6 +232,7 @@ func BenchmarkRebuildParallel(b *testing.B) {
 
 func BenchmarkVertexFollow(b *testing.B) {
 	g := generate.MustGenerate(generate.EuropeOSM, generate.Medium, 0, 0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _, _ = vertexFollow(g, 0, false)

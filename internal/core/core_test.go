@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"grappolo/internal/generate"
 	"grappolo/internal/graph"
+	"grappolo/internal/par"
 	"grappolo/internal/quality"
 	"grappolo/internal/seq"
 )
@@ -298,33 +302,145 @@ func TestVFSelfLoopVertexNotMerged(t *testing.T) {
 	}
 }
 
-func TestRebuildMatchesSerialCoarsen(t *testing.T) {
-	g := generate.MustGenerate(generate.CNR, generate.Small, 0, 4)
-	res := Run(g, Options{MaxPhases: 1, Workers: 4}.Defaults())
-	membership := res.Membership
-	nc := res.NumCommunities
-	pg := rebuild(g, membership, nc, 4)
-	sg := seq.Coarsen(g, membership, nc)
-	if pg.N() != sg.N() || pg.ArcCount() != sg.ArcCount() {
-		t.Fatalf("shape differs: n %d/%d arcs %d/%d", pg.N(), sg.N(), pg.ArcCount(), sg.ArcCount())
+// coarsenCase is one membership the rebuild reference table coarsens.
+type coarsenCase struct {
+	name       string
+	g          *graph.Graph
+	membership []int32
+	nc         int
+}
+
+// rebuildCases covers the membership shapes the rebuild meets: a Louvain
+// phase, a VF merge of degree-1 vertices, and the extremes of community
+// size (all singletons, one community, giants next to singletons).
+func rebuildCases(t *testing.T) []coarsenCase {
+	t.Helper()
+	// Medium scale: the smallest whose CSRs outweigh TestRebuildWarmAllocs'
+	// byte bound, so a regrown output array cannot hide under it.
+	cnr := generate.MustGenerate(generate.CNR, generate.Medium, 0, 4)
+	n := cnr.N()
+	phase := Run(cnr, Options{MaxPhases: 1, Workers: 4}.Defaults())
+
+	road := generate.MustGenerate(generate.EuropeOSM, generate.Medium, 0, 4)
+	vf, vfNC, ok := vertexFollow(road, 1, false)
+	if !ok {
+		t.Fatal("VF merged nothing on the road graph")
 	}
-	if math.Abs(pg.TotalWeight()-sg.TotalWeight()) > 1e-6 {
-		t.Fatalf("weight differs: %v vs %v", pg.TotalWeight(), sg.TotalWeight())
+
+	identity := make([]int32, n)
+	for i := range identity {
+		identity[i] = int32(i)
 	}
-	for i := 0; i < pg.N(); i++ {
-		na, wa := pg.Neighbors(i)
-		nb, wb := sg.Neighbors(i)
-		if len(na) != len(nb) {
-			t.Fatalf("row %d length differs", i)
+	// Three giants share the first 3/5 of the vertices; every other vertex
+	// is its own community.
+	giants := make([]int32, n)
+	cut := 3 * n / 5
+	for i := range giants {
+		if i < cut {
+			giants[i] = int32(i % 3)
+		} else {
+			giants[i] = int32(3 + i - cut)
 		}
-		for k := range na {
-			if na[k] != nb[k] || math.Abs(wa[k]-wb[k]) > 1e-9 {
-				t.Fatalf("row %d entry %d differs", i, k)
+	}
+	return []coarsenCase{
+		{"louvain-phase", cnr, phase.Membership, phase.NumCommunities},
+		{"vf-degree1", road, vf, vfNC},
+		{"identity", cnr, identity, n},
+		{"one-community", cnr, make([]int32, n), 1},
+		{"giants-and-singletons", cnr, giants, 3 + n - cut},
+	}
+}
+
+// assertSameCSR fails unless got and want have equal offsets and adjacency
+// and weights equal to a relative 1e-9, or bit for bit when exact.
+func assertSameCSR(t *testing.T, got, want *graph.Graph, exact bool) {
+	t.Helper()
+	if !slices.Equal(got.ArcOffsets(), want.ArcOffsets()) {
+		t.Fatalf("offsets differ: n %d/%d arcs %d/%d", got.N(), want.N(), got.ArcCount(), want.ArcCount())
+	}
+	for i := 0; i < got.N(); i++ {
+		na, wa := got.Neighbors(i)
+		nb, wb := want.Neighbors(i)
+		if !slices.Equal(na, nb) {
+			t.Fatalf("row %d adjacency differs: %v vs %v", i, na, nb)
+		}
+		for k := range wa {
+			if exact && wa[k] != wb[k] || math.Abs(wa[k]-wb[k]) > 1e-9*max(1, math.Abs(wb[k])) {
+				t.Fatalf("row %d entry %d weight %v, want %v", i, k, wa[k], wb[k])
 			}
 		}
 	}
-	if err := pg.Validate(); err != nil {
+	if err := got.Validate(); err != nil {
 		t.Fatalf("parallel rebuild invalid: %v", err)
+	}
+}
+
+// TestRebuildMatchesSerialCoarsen pins the parallel rebuild to the serial
+// reference: the same CSR at every worker count, bit-identical weights at
+// one worker (member order, and so summation order, is then ascending as
+// in seq.Coarsen). The reused/ subtests run big → small → big rebuilds
+// through one scratch, slot and accumulator pool, as an Engine does across
+// phases and runs, so a stale row length, offset or key from a larger run
+// would show in a smaller one, and a short regrowth in the next large one.
+func TestRebuildMatchesSerialCoarsen(t *testing.T) {
+	byName := map[string]coarsenCase{}
+	want := map[string]*graph.Graph{}
+	for _, tc := range rebuildCases(t) {
+		byName[tc.name] = tc
+		want[tc.name] = seq.Coarsen(tc.g, tc.membership, tc.nc)
+		for _, w := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/w%d", tc.name, w), func(t *testing.T) {
+				assertSameCSR(t, rebuild(tc.g, tc.membership, tc.nc, w), want[tc.name], w == 1)
+			})
+		}
+	}
+	order := []string{"identity", "one-community", "vf-degree1", "giants-and-singletons", "louvain-phase", "identity"}
+	for _, w := range []int{1, 2, 4} {
+		var rb rebuildScratch
+		var slot graphSlot
+		var accs []*par.SparseAccum
+		for i, name := range order {
+			tc := byName[name]
+			accs = growAccums(accs, par.Workers(w, tc.nc), tc.nc, 0)
+			got := rebuildInto(&rb, &slot, accs, tc.g, tc.membership, tc.nc, w)
+			t.Run(fmt.Sprintf("reused/w%d/%d-%s", w, i, tc.name), func(t *testing.T) {
+				assertSameCSR(t, got, want[tc.name], w == 1)
+			})
+		}
+	}
+}
+
+// TestRebuildWarmAllocs gates the rebuild's scratch reuse: after one warm
+// call on the same shape, rebuildInto allocates nothing at one worker and
+// only the fork-join bookkeeping at two — a byte bound, so regrowing any
+// O(arcs) buffer fails it (the identity case's CSR alone is far above it).
+func TestRebuildWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	for _, tc := range rebuildCases(t) {
+		for _, w := range []int{1, 2} {
+			var rb rebuildScratch
+			var slot graphSlot
+			accs := growAccums(nil, par.Workers(w, tc.nc), tc.nc, 0)
+			run := func() { rebuildInto(&rb, &slot, accs, tc.g, tc.membership, tc.nc, w) }
+			run()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			const calls = 4
+			for i := 0; i < calls; i++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			allocs := (after.Mallocs - before.Mallocs) / calls
+			bytes := (after.TotalAlloc - before.TotalAlloc) / calls
+			if w == 1 && allocs != 0 {
+				t.Errorf("%s/w1: warm rebuildInto allocates %d times (%d B) per call, want 0", tc.name, allocs, bytes)
+			}
+			if bytes >= 64<<10 {
+				t.Errorf("%s/w%d: warm rebuildInto allocates %d B per call, want < 64 KiB", tc.name, w, bytes)
+			}
+		}
 	}
 }
 

@@ -12,13 +12,14 @@ import (
 
 // Engine is a reusable parallel Louvain pipeline: it owns every piece of
 // mutable scratch the one-shot Run would otherwise allocate per call — the
-// phase working set (phaseState arrays and per-worker decide accumulators),
-// the rebuild scratch (counting-sort buffers, per-worker row accumulators and
-// staging arenas), the renumbering buffers, the coloring scratch (worklists,
-// flat markers, set storage), the per-level coarse-graph slots, and the CPM
-// node-size buffers. Everything is sized by high-water mark and recycled
-// across phases AND across Run calls, so the second Run on a same-shaped
-// graph performs zero scratch allocations (only the Result is allocated; see
+// phase working set (phaseState arrays and per-worker accumulators, which
+// the rebuild's row aggregation borrows between phases), the rebuild
+// scratch (counting-sort buffers and per-worker row-count markers), the
+// renumbering buffers, the coloring scratch (worklists, flat markers, set
+// storage), the per-level coarse-graph slots, and the CPM node-size
+// buffers. Everything is sized by high-water mark and recycled across
+// phases AND across Run calls, so the second Run on a same-shaped graph
+// performs zero scratch allocations (only the Result is allocated; see
 // RunInto to recycle that too).
 //
 // Use one Engine per sequence of runs that share a configuration: dynamic
@@ -217,9 +218,12 @@ func (e *Engine) nextSlot() *graphSlot {
 	return s
 }
 
-// rebuild coarsens g by membership into the next pooled graph slot.
+// rebuild coarsens g by membership into the next pooled graph slot. Its row
+// aggregation borrows the phase's decide accumulators: sweeps and rebuilds
+// never overlap, so one pool serves both.
 func (e *Engine) rebuild(g *graph.Graph, membership []int32, numComm, workers int) *graph.Graph {
-	return rebuildInto(&e.rb, e.nextSlot(), g, membership, numComm, workers)
+	e.st.scratch = growAccums(e.st.scratch, par.Workers(workers, numComm), numComm, g.MaxOutDegree()+1)
+	return rebuildInto(&e.rb, e.nextSlot(), e.st.scratch, g, membership, numComm, workers)
 }
 
 // resolveArcLayout maps the run options plus the input graph to the concrete

@@ -125,7 +125,7 @@ func TestEngineRunSteadyStateZeroAllocs(t *testing.T) {
 	} {
 		eng := NewEngine(o)
 		res := eng.Run(g)
-		res = eng.RunInto(g, res) // second warm pass settles the arenas
+		// AllocsPerRun's uncounted warm-up call is the one recycling pass needed.
 		allocs := testing.AllocsPerRun(3, func() {
 			res = eng.RunInto(g, res)
 		})

@@ -34,7 +34,8 @@ type phaseState struct {
 	// scratch holds one neighbor-community accumulator per worker, grown in
 	// place and reused across every sweep, iteration, phase and run, so the
 	// decide loop is allocation-free in steady state (§5.5: the per-vertex
-	// map was the dominant clustering cost).
+	// map was the dominant clustering cost). Engine.rebuild borrows the same
+	// pool for its row aggregation between phases.
 	scratch []*par.SparseAccum
 	// colorPrefix caches, per color set, the arc prefix sum that drives
 	// arc-balanced chunking in colored sweeps. Sets and OutDegree are
@@ -113,13 +114,7 @@ func (st *phaseState) reset(g *graph.Graph, opts Options, nodeSize []int64, work
 	// One accumulator per effective worker: community ids live in [0, n),
 	// and a vertex can touch at most OutDegree+1 distinct communities (the
 	// key list grows amortized past that on coarser graphs).
-	nw := par.Workers(workers, n)
-	for len(st.scratch) < nw {
-		st.scratch = append(st.scratch, par.NewSparseAccum(n, g.MaxOutDegree()+1))
-	}
-	for w := 0; w < nw; w++ {
-		st.scratch[w].Grow(n)
-	}
+	st.scratch = growAccums(st.scratch, par.Workers(workers, n), n, g.MaxOutDegree()+1)
 	par.ForChunkCtx(st, n, workers, 0, func(st *phaseState, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			st.curr[i] = int32(i)
@@ -130,6 +125,18 @@ func (st *phaseState) reset(g *graph.Graph, opts Options, nodeSize []int64, work
 			}
 		}
 	})
+}
+
+// growAccums returns pool holding at least nw accumulators, each over at
+// least universe keys; new ones start with room for maxKeys touched keys.
+func growAccums(pool []*par.SparseAccum, nw, universe, maxKeys int) []*par.SparseAccum {
+	for len(pool) < nw {
+		pool = append(pool, par.NewSparseAccum(universe, maxKeys))
+	}
+	for _, a := range pool[:nw] {
+		a.Grow(universe)
+	}
+	return pool
 }
 
 // newPhaseState allocates a standalone phase state (tests, benchmarks, and

@@ -92,31 +92,17 @@ func renumberSerial(comm []int32) []int32 {
 	return out
 }
 
-// rowArena is one worker's append-only staging area for aggregated
-// community rows: rows land here in whatever order the worker claims
-// communities, then a prefix sum over row lengths stitches them into the
-// final CSR. Growth is amortized across all rows a worker produces — and,
-// under the Engine, across every rebuild of every run — so the per-community
-// map + slice allocations of the original implementation (the §5.5 rebuild
-// bottleneck) are gone.
-type rowArena struct {
-	adj []int32
-	w   []float64
-}
-
 // rebuildScratch owns every transient buffer of the coarsening step except
 // the output CSR arrays (those live in the destination graphSlot, because
-// the produced graph must survive until the NEXT rebuild). One instance is
-// pooled per Engine; the free rebuild function uses a throwaway one.
+// the produced graph must survive until the NEXT rebuild) and the row
+// accumulators (borrowed from the caller). One instance is pooled per
+// Engine; the free rebuild function uses a throwaway one.
 type rebuildScratch struct {
 	counts  []int64 // community member counts, then exclusive prefix sums
 	cursor  []int64
 	members []int32
-	rowWk   []int32
-	rowOff  []int64
-	accs    []*par.SparseAccum
-	arenas  []rowArena
-	ctx     rebuildCtx // loop-body context (pointer-passed, see below)
+	marks   []*par.Marker // per-worker distinct-neighbor sets of the count pass
+	ctx     rebuildCtx    // loop-body context (pointer-passed, see below)
 }
 
 // rebuildCtx carries one rebuild's state into the captureless loop bodies.
@@ -128,11 +114,8 @@ type rebuildCtx struct {
 	starts     []int64
 	cursor     []int64
 	members    []int32
-	rowLen     []int64
-	rowWk      []int32
-	rowOff     []int64
+	marks      []*par.Marker
 	accs       []*par.SparseAccum
-	arenas     []rowArena
 	offsets    []int64
 	adj        []int32
 	weights    []float64
@@ -142,16 +125,19 @@ type rebuildCtx struct {
 // membership (§5.4 step 4, §5.5): one meta-vertex per community, self-loop
 // weight = 2×(intra non-loop weight) + member self-loops, inter-community
 // edges aggregated symmetrically. All steps are parallel: vertices are
-// grouped by community with a counting sort, then each community's row is
-// aggregated independently into a per-worker flat accumulator (key order
-// sorted ascending for deterministic rows), staged in a per-worker arena,
-// and stitched into the final CSR with a prefix sum over row lengths —
-// lock-free, allocation-amortized, no hashing anywhere. The output CSR and
-// Graph header are recycled from slot, every working buffer from rb.
-func rebuildInto(rb *rebuildScratch, slot *graphSlot, g *graph.Graph, membership []int32, numComm, workers int) *graph.Graph {
+// grouped by community with a counting sort; a count pass sizes each
+// community's row (its distinct neighbor communities, on a per-worker
+// marker) and a prefix sum turns the counts into exact CSR offsets; a fill
+// pass then aggregates each row on a per-worker flat accumulator and writes
+// it, keys sorted ascending for deterministic rows, straight into its place
+// in the CSR — lock-free, no staging copy, no hashing anywhere. accs must
+// hold par.Workers(workers, numComm) accumulators over at least numComm
+// keys (see growAccums). The output CSR and Graph header are recycled from
+// slot, every other working buffer from rb.
+func rebuildInto(rb *rebuildScratch, slot *graphSlot, accs []*par.SparseAccum, g *graph.Graph, membership []int32, numComm, workers int) *graph.Graph {
 	n := g.N()
 	ctx := &rb.ctx
-	*ctx = rebuildCtx{g: g, membership: membership}
+	*ctx = rebuildCtx{g: g, membership: membership, accs: accs}
 
 	// Group vertices by community: counting sort with atomic counters.
 	counts := par.Resize(rb.counts, numComm+1)
@@ -182,42 +168,51 @@ func rebuildInto(rb *rebuildScratch, slot *graphSlot, g *graph.Graph, membership
 		}
 	})
 
-	// Aggregate each community's row into its worker's accumulator, keyed by
-	// neighbor community. Adding ALL arcs (intra ones included) reproduces
-	// the self-loop convention for free: key c accumulates 2×(intra non-loop
-	// weight) + member self-loops, because internal non-loop arcs are visited
-	// twice (u→v and v→u) and self-loops once.
+	// Count pass: each community's row length is the number of distinct
+	// communities its members' arcs reach. starts doubles as a member-count
+	// prefix sum over communities, so both row passes chunk by community
+	// size rather than community count (one giant community can no longer
+	// serialize the rebuild).
 	nw := par.Workers(workers, numComm)
-	for len(rb.accs) < nw {
-		rb.accs = append(rb.accs, nil)
+	for len(rb.marks) < nw {
+		rb.marks = append(rb.marks, par.NewMarker(numComm))
 	}
-	for len(rb.arenas) < nw {
-		rb.arenas = append(rb.arenas, rowArena{})
+	for _, m := range rb.marks[:nw] {
+		m.Grow(numComm)
 	}
-	for w := 0; w < nw; w++ {
-		rb.arenas[w].adj = rb.arenas[w].adj[:0]
-		rb.arenas[w].w = rb.arenas[w].w[:0]
-	}
-	rowLen := par.Resize(slot.offsets, numComm+1) // row lengths, then CSR offsets in place
-	rowWk := par.Resize(rb.rowWk, numComm)        // which worker's arena holds row c
-	rb.rowWk = rowWk
-	rowOff := par.Resize(rb.rowOff, numComm) // at which offset in that arena
-	rb.rowOff = rowOff
-	rowLen[numComm] = 0
-	ctx.rowLen, ctx.rowWk, ctx.rowOff = rowLen, rowWk, rowOff
-	ctx.accs, ctx.arenas = rb.accs, rb.arenas
-	// starts doubles as a member-count prefix sum over communities, so the
-	// aggregation chunks balance by community size rather than community
-	// count (one giant community can no longer serialize the rebuild).
+	offsets := par.Resize(slot.offsets, numComm+1) // row lengths, then CSR offsets in place
+	offsets[numComm] = 0
+	ctx.marks, ctx.offsets = rb.marks, offsets
+	par.ForChunkPrefixCtx(ctx, starts, workers, func(ct *rebuildCtx, w, lo, hi int) {
+		mk := ct.marks[w]
+		for c := lo; c < hi; c++ {
+			mk.Reset()
+			cnt := int64(0)
+			for _, u := range ct.members[ct.starts[c]:ct.starts[c+1]] {
+				nbr, _ := ct.g.Neighbors(int(u))
+				for _, v := range nbr {
+					if k := ct.membership[v]; !mk.Has(k) {
+						mk.Set(k)
+						cnt++
+					}
+				}
+			}
+			ct.offsets[c] = cnt
+		}
+	})
+	totalArcs := par.ExclusivePrefixSum(offsets, workers)
+
+	// Fill pass: aggregate each row into its worker's accumulator, keyed by
+	// neighbor community, and write it in place. Adding ALL arcs (intra ones
+	// included) reproduces the self-loop convention for free: key c
+	// accumulates 2×(intra non-loop weight) + member self-loops, because
+	// internal non-loop arcs are visited twice (u→v and v→u) and self-loops
+	// once.
+	adj := par.Resize(slot.adj, int(totalArcs))
+	weights := par.Resize(slot.weights, int(totalArcs))
+	ctx.adj, ctx.weights = adj, weights
 	par.ForChunkPrefixCtx(ctx, starts, workers, func(ct *rebuildCtx, w, lo, hi int) {
 		acc := ct.accs[w]
-		if acc == nil {
-			acc = par.NewSparseAccum(len(ct.rowLen)-1, 0)
-			ct.accs[w] = acc
-		} else {
-			acc.Grow(len(ct.rowLen) - 1)
-		}
-		ar := &ct.arenas[w]
 		for c := lo; c < hi; c++ {
 			acc.Reset()
 			for _, u := range ct.members[ct.starts[c]:ct.starts[c+1]] {
@@ -228,27 +223,11 @@ func rebuildInto(rb *rebuildScratch, slot *graphSlot, g *graph.Graph, membership
 			}
 			keys := acc.Keys()
 			par.SortInt32(keys) // deterministic ascending row order
-			ct.rowLen[c] = int64(len(keys))
-			ct.rowWk[c] = int32(w)
-			ct.rowOff[c] = int64(len(ar.adj))
-			for _, k := range keys {
-				ar.adj = append(ar.adj, k)
-				ar.w = append(ar.w, acc.Get(k))
+			row := ct.offsets[c]
+			copy(ct.adj[row:], keys)
+			for t, k := range keys {
+				ct.weights[row+int64(t)] = acc.Get(k)
 			}
-		}
-	})
-
-	totalArcs := par.ExclusivePrefixSum(rowLen, workers)
-	offsets := rowLen // rowLen now holds the exclusive prefix sums
-	adj := par.Resize(slot.adj, int(totalArcs))
-	weights := par.Resize(slot.weights, int(totalArcs))
-	ctx.offsets, ctx.adj, ctx.weights = offsets, adj, weights
-	par.ForChunkCtx(ctx, numComm, workers, 0, func(ct *rebuildCtx, _, lo, hi int) {
-		for c := lo; c < hi; c++ {
-			cnt := ct.offsets[c+1] - ct.offsets[c]
-			ar := &ct.arenas[ct.rowWk[c]]
-			copy(ct.adj[ct.offsets[c]:ct.offsets[c+1]], ar.adj[ct.rowOff[c]:ct.rowOff[c]+cnt])
-			copy(ct.weights[ct.offsets[c]:ct.offsets[c+1]], ar.w[ct.rowOff[c]:ct.rowOff[c]+cnt])
 		}
 	})
 	slot.offsets, slot.adj, slot.weights = offsets, adj, weights
@@ -264,5 +243,6 @@ func rebuildInto(rb *rebuildScratch, slot *graphSlot, g *graph.Graph, membership
 // rebuild is the one-shot form of rebuildInto with throwaway scratch, used by
 // tests, benchmarks, and callers outside an Engine.
 func rebuild(g *graph.Graph, membership []int32, numComm, workers int) *graph.Graph {
-	return rebuildInto(&rebuildScratch{}, &graphSlot{}, g, membership, numComm, workers)
+	accs := growAccums(nil, par.Workers(workers, numComm), numComm, 0)
+	return rebuildInto(&rebuildScratch{}, &graphSlot{}, accs, g, membership, numComm, workers)
 }

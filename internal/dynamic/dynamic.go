@@ -69,7 +69,7 @@ func (o Options) defaults() Options {
 type Maintainer struct {
 	opts Options
 	// engine is the reusable detection pipeline for full re-runs: scratch
-	// (phase arrays, rebuild arenas, coloring buffers) is recycled across
+	// (phase arrays, rebuild buffers, coloring buffers) is recycled across
 	// Flush-triggered re-detections instead of re-allocated, which is
 	// exactly the repeated-run workload core.Engine exists for. The
 	// maintainer is single-threaded, matching the engine's no-concurrent-Run
